@@ -18,11 +18,10 @@ import machine
 import workloads
 from tracer import Tracer
 
-# set-up is repeated at least this often and for at least this long, so its
-# median rests on enough samples even when one set-up takes milliseconds
-SETUP_REPEATS = 5
-SETUP_SECONDS = 1.0
-SETUP_MAX_REPEATS = 200
+# set-up is repeated this often and reported as the median; a fixed count,
+# not a time budget, so that the allocator sees the same sequence in every
+# run and peak memory does not depend on the machine's speed
+SETUP_REPEATS = 11
 
 
 def _median(values):
@@ -46,8 +45,7 @@ def _warm_up(wl, inputs, workdir):
 def _setup(wl, seed, checks, tracer=None):
     """Generate the inputs repeatedly; returns the inputs and the timings."""
     seconds, generate_s, first = [], [], None
-    while len(seconds) < SETUP_MAX_REPEATS and (
-            len(seconds) < SETUP_REPEATS or sum(seconds) < SETUP_SECONDS):
+    for _ in range(SETUP_REPEATS):
         if tracer is not None:
             tracer.reset()
         tic = time.perf_counter()
@@ -66,12 +64,13 @@ def _rounds(wl, inputs, checks, workdir, seconds, tracer=None):
     """Repeat rounds while the next one is predicted to end within
     ``seconds`` of the first one's start; always run at least one."""
     rounds, layers = [], []
+    probe = wl.speed_probe()
     start = time.perf_counter()
     while True:
         if tracer is not None:
             tracer.reset()
         tic = time.perf_counter()
-        rnd = workloads.run_round(wl, inputs, checks, workdir, tracer)
+        rnd = workloads.run_round(wl, inputs, checks, workdir, probe, tracer)
         rounds.append(rnd)
         if tracer is not None:
             sums = workloads.layer_sums(tracer.spans)
@@ -80,7 +79,7 @@ def _rounds(wl, inputs, checks, workdir, seconds, tracer=None):
             layers.append(sums)
         now = time.perf_counter()
         if now - start + (now - tic) > seconds:
-            return rounds, layers
+            return rounds, layers, probe
 
 
 def main(argv=None):
@@ -120,17 +119,23 @@ def main(argv=None):
     if args.trace:
         workloads.install(tracer)
         try:
-            rounds, layers = _rounds(wl, inputs, checks, workdir, args.seconds, tracer)
+            rounds, layers, probe = _rounds(wl, inputs, checks, workdir, args.seconds,
+                                            tracer)
         finally:
             tracer.uninstall()
     else:
-        rounds, _ = _rounds(wl, inputs, checks, workdir, args.seconds)
+        rounds, _, probe = _rounds(wl, inputs, checks, workdir, args.seconds)
     measured_s = time.perf_counter() - start
 
     summaries = [workloads.round_summary(r) for r in rounds]
     med = {key: _median([s[key] for s in summaries]) for key in summaries[0]}
+    probe_s = _median([t for r in rounds for t in r["probes"]])
+    med["probe_ms"] = 1e3 * probe_s
+    med["solve_ref_s"] = probe.rescale(med["solve_wall_s"], probe_s)
     if args.trace:
         values = {key: _median([lay[key] for lay in layers]) for key in layers[0]}
+        for key in ("solve_wall_s", "probe_ms"):
+            values[key] = med[key]
         for key in ("full_solve_s", "full_iters", "lra_iters", "full_restarts",
                     "lra_restarts", "full_ms_per_iter", "lra_ms_per_iter", "lra_compress_s"):
             values[f"solver.{key}"] = med[key]
@@ -143,7 +148,7 @@ def main(argv=None):
         values["trace_overhead_frac"] = med["trace_overhead_frac"]
         tracer.write_csv(out_dir / f"{stem}-spans.csv")
     else:
-        values = {key: med[key] for key in ("solve_s", "tenfit")}
+        values = {key: med[key] for key in ("solve_ref_s", "tenfit")}
         values["setup_s"] = _median(setup_s)
         values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     declared = json.loads((root / "BENCHMARK.json").read_text())
@@ -157,19 +162,20 @@ def main(argv=None):
 
     record.update({
         "rounds": len(rounds), "measured_s": measured_s, "setup_s_samples": setup_s,
+        "probe_s_samples": [r["probes"] for r in rounds],
         "round_summaries": summaries, "failures": checks.failures,
         "metrics": result_metrics,
     })
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.json").write_text(json.dumps(record, indent=1) + "\n")
 
-    kind = "traced round(s), each solve after an untraced twin," if args.trace \
-        else "round(s)"
+    kind = "traced round(s), the first problem's solves after untraced twins," \
+        if args.trace else "round(s)"
     print(f"# {wl.name} seed {args.seed}: {len(rounds)} {kind} in {measured_s:.1f} s, "
           f"{wl.problems} problem(s) x modes {'/'.join(wl.modes)}")
     print("# machine: " + json.dumps(record["machine"]))
-    for key in ("full_solve_s", "full_iters", "lra_iters", "full_relerr", "lra_relerr",
-                "full_pi", "lra_pi", "io_s"):
+    for key in ("solve_wall_s", "probe_ms", "full_solve_s", "full_iters", "lra_iters",
+                "full_relerr", "lra_relerr", "full_pi", "lra_pi", "io_s"):
         print(f"# {key} = {med[key]:.6g}")
     for name, m in result_metrics.items():
         print(f"{name} = {m['value']:.6g} {m['unit']}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from speed import SpeedProbe
 from tracer import ATTRS, NAME, PARENT, child_seconds, duration
 
 fileio = importlib.import_module("concpd.fileio")
@@ -38,6 +39,10 @@ class Workload:
     max_iter: int
     tol: float
     termination: str
+    # sweeps of the speed probe over the workload's blocks, and its time at
+    # the reference speed (about the fast phase of a 2-core Intel Xeon VM)
+    probe_sweeps: int
+    probe_reference_s: float
     problem_io: bool = False
     parity: float = None
 
@@ -46,17 +51,23 @@ class Workload:
                                 snr_db=self.snr_db, seed=base_seed * self.problems + j)
                 for j in range(self.problems)]
 
+    def speed_probe(self):
+        dims, rank, _ = self.specs(0)[0].resolve()
+        return SpeedProbe(dims, rank, self.n_blocks, self.probe_sweeps,
+                          self.probe_reference_s)
+
 
 WORKLOADS = {w.name: w for w in (
     Workload(
         name="ladder-n8-fixed30",
         n_blocks=10, size_factor=8, snr_db=20.0, modes=("full", "lra"), problems=1,
-        max_iter=30, tol=1e-300, termination="max_iterations"),
+        max_iter=30, tol=1e-300, termination="max_iterations",
+        probe_sweeps=5, probe_reference_s=0.33),
     Workload(
         name="ladder-n2-converge",
-        n_blocks=10, size_factor=2, snr_db=20.0, modes=("full", "lra"), problems=8,
-        max_iter=1000, tol=1e-8, termination="tolerance", problem_io=True,
-        parity=0.02),
+        n_blocks=6, size_factor=2, snr_db=20.0, modes=("full", "lra"), problems=24,
+        max_iter=1000, tol=1e-8, termination="tolerance",
+        probe_sweeps=30, probe_reference_s=0.03, problem_io=True, parity=0.02),
 )}
 
 
@@ -98,18 +109,25 @@ def _timed(clock, func, *args, **kwargs):
     return out
 
 
-def run_round(wl, inputs, checks, workdir, tracer=None):
+def run_round(wl, inputs, checks, workdir, probe, tracer=None):
     """Solve and score every problem once, then pass the text files through
-    disk; returns the fits, the I/O seconds and the bytes written.
+    disk; returns the fits, the probe times, the I/O seconds and the bytes
+    written.
 
-    With an installed ``tracer``, every solve is preceded by an untraced
-    twin whose wall clock (``plain_s``) is the base of the tracing overhead;
-    the twins run next to each other, so they meet the same machine speed.
+    ``probe`` runs before the first solve and after every solve, so its
+    times sample the machine's speed all through the round (see
+    ``speed.py``).
+
+    With an installed ``tracer``, the solves of the first problem are each
+    preceded by an untraced twin whose wall clock (``plain_s``) is the base
+    of the tracing overhead; the twins run next to each other, so they meet
+    the same machine speed.
     """
-    fits, results = [], []
+    fits, results, probes = [], [], [probe()]
     for j, (problem, truth, seed) in enumerate(inputs):
         for mode in wl.modes:
             fit = _solve(wl, problem, truth, mode, j, seed, checks, tracer)
+            probes.append(probe())
             if fit is not None:
                 results.append((f"p{j}_{mode}", fit.pop("result")))
                 fits.append(fit)
@@ -121,7 +139,7 @@ def run_round(wl, inputs, checks, workdir, tracer=None):
                               f"problem {j}: |TenFit(full) - TenFit(lra)| = {gap:.4f}")
     io_s = _text_io(wl, inputs, results, checks, workdir)
     written = sum(p.stat().st_size for p in workdir.rglob("*") if p.is_file())
-    return {"fits": fits, "io_s": io_s, "bytes_written": written}
+    return {"fits": fits, "probes": probes, "io_s": io_s, "bytes_written": written}
 
 
 def _text_io(wl, inputs, results, checks, workdir):
@@ -164,7 +182,7 @@ def _solve(wl, data, truth, mode, j, seed, checks, tracer):
     opts = solver.SolverOptions(max_iter=wl.max_iter, tol=wl.tol, seed=seed)
     plain = None
     try:
-        if tracer is not None:
+        if tracer is not None and j == 0:
             with paused(tracer):
                 tic = time.perf_counter()
                 solver.solve(problem, opts)
@@ -200,7 +218,7 @@ def round_summary(rnd):
     """End-to-end figures of one round plus its quality numbers."""
     fits = rnd["fits"]
     out = {
-        "solve_s": sum(f["wall_s"] for f in fits),
+        "solve_wall_s": sum(f["wall_s"] for f in fits),
         "full_solve_s": sum(f["wall_s"] for f in fits if f["mode"] == "full"),
         "io_s": rnd["io_s"],
         "tenfit": float(np.mean([1.0 - f["relerr"] for f in fits])),
@@ -215,8 +233,10 @@ def round_summary(rnd):
         out[f"{mode}_relerr"] = float(np.mean([f["relerr"] for f in mine])) if mine else 0.0
         out[f"{mode}_pi"] = float(np.mean([f["pi"] for f in mine])) if mine else 0.0
     out["lra_compress_s"] = sum(f["compress_s"] for f in fits)
-    if all(f["plain_s"] is not None for f in fits):
-        out["trace_overhead_frac"] = out["solve_s"] / sum(f["plain_s"] for f in fits) - 1.0
+    twins = [f for f in fits if f["plain_s"] is not None]
+    if twins:
+        out["trace_overhead_frac"] = (sum(f["wall_s"] for f in twins)
+                                      / sum(f["plain_s"] for f in twins) - 1.0)
     return out
 
 
