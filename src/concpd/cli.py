@@ -63,17 +63,62 @@ EVAL_DEFAULTS = {"problem": None, "factors": None, "out": None}
 
 @contextmanager
 def limit_blas_threads(n):
-    """Cap the BLAS thread pool while timing; no-op if uncontrollable."""
+    """Cap the BLAS thread pool while timing; no-op if uncontrollable.
+
+    Uses ``threadpoolctl`` where it is installed.  Without it, the thread
+    setter of every OpenBLAS library loaded in the process is called
+    directly, and the previous counts are put back on exit.
+    """
     if n is None:
         yield
         return
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        yield
+        pools = _openblas_pools()
+        before = [get() for get, _ in pools]
+        for _, put in pools:
+            put(int(n))
+        try:
+            yield
+        finally:
+            for (_, put), count in zip(pools, before):
+                put(count)
         return
     with threadpool_limits(limits=int(n)):
         yield
+
+
+def _openblas_pools():
+    """``(get, set)`` thread-count functions of each OpenBLAS loaded here.
+
+    Libraries are found in ``/proc/self/maps``; elsewhere the list is empty.
+    NumPy wheels bundle OpenBLAS with prefixed, 64-bit-integer symbols, so
+    every naming variant is tried.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    names = [(f"{pre}openblas_get_num_threads{suf}", f"{pre}openblas_set_num_threads{suf}")
+             for pre in ("scipy_", "") for suf in ("64_", "_64", "")]
+    pools = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return pools
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +447,7 @@ def build_parser():
     _opt(b, "--workers", type=int,
          help="concurrent runs; RUN_THREADS caps this [1]")
     _opt(b, "--blas-threads", type=int,
-         help="pin the BLAS pool while timing (needs threadpoolctl)")
+         help="pin the BLAS pool while timing (threadpoolctl or OpenBLAS)")
     _opt(b, "--max-iter", type=int, help="iteration cap [1000]")
     _opt(b, "--tol", type=float, help="relative-error change tolerance [1e-8]")
     _opt(b, "--delta-w", type=float, help="extrapolation safety factor [0.9999]")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kruskal import KruskalTensor
-from .tensor_ops import factors_khatri_rao, matricize
+from .tensor_ops import factors_khatri_rao, matricize, mttkrp, mttkrp_partial
 
 __all__ = ["AlsOptions", "AlsResult", "cpd_als"]
 
@@ -57,14 +57,20 @@ def cpd_als(t, opts):
     across sweeps.  Iteration stops when the relative error changes by less
     than ``opts.tol`` between sweeps or after ``opts.max_iter`` sweeps.
 
-    Returns an :class:`AlsResult`; the relative error is measured against
-    the explicitly formed reconstruction so the reported history is reliable
-    even at near-exact fits.
+    Each sweep runs on :func:`concpd.tensor_ops.mttkrp`: one tensor-sized
+    GEMM for the first mode and one for the partial product that the other
+    modes share.  The residual comes from the gram expansion
+    ``||T||^2 - 2 sum_r b_r + 1^T G 1``, with ``b`` the last mode's
+    contraction at the final factors and ``G`` the Hadamard product of the
+    factor grams.  Where that falls below ``1e-3 ||T||^2`` its cancellation
+    error would matter, so the residual is formed explicitly from the
+    reconstruction instead; the reported history is therefore reliable even
+    at near-exact fits.
 
     Raises ``ValueError`` for an infeasible rank (normal equations taller
     than the data allow), non-finite input, or divergence.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.ascontiguousarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite values")
     if opts.rank is None:
@@ -81,17 +87,17 @@ def cpd_als(t, opts):
     rng = np.random.default_rng(opts.seed)
     factors = [rng.random((d, rank)) for d in dims]
     grams = [f.T @ f for f in factors]
-    norm_t = float(np.linalg.norm(t))
+    norm_sq = float(np.vdot(t, t))
+    norm_t = np.sqrt(norm_sq)
 
     history = []
     rel_err = 0.0 if norm_t == 0.0 else 1.0
     converged = False
     it = 0
     for it in range(1, opts.max_iter + 1):
+        partial = None
         for n in range(t.ndim):
-            kr = factors_khatri_rao(factors, skip=n)
-            m_n = matricize(t, n)
-            mtt = m_n @ kr
+            mtt = mttkrp(t, factors, n, partial)
             v = np.ones((rank, rank))
             for m, g in enumerate(grams):
                 if m != n:
@@ -104,11 +110,17 @@ def cpd_als(t, opts):
                 u = np.zeros_like(factors[n])
             factors[n] = u
             grams[n] = u.T @ u
+            if n == 0:
+                partial = mttkrp_partial(t, u)
         if not all(np.isfinite(g).all() for g in grams):
             raise ValueError(f"ALS diverged to non-finite values at sweep {it}")
-        # kr and m_n are still the last mode's; one product gives the residual
-        res = float(np.linalg.norm(m_n - factors[t.ndim - 1] @ kr.T))
-        new_rel = res / norm_t if norm_t > 0.0 else 0.0
+        # mtt and v are still the last mode's: with its new factor they give
+        # the inner product with the data and the model's squared norm
+        inner = float(np.vdot(factors[-1], mtt))
+        res_sq = norm_sq - 2.0 * inner + float(np.vdot(v, grams[-1]))
+        if res_sq < 1e-3 * norm_sq:
+            res_sq = _explicit_residual_sq(t, factors)
+        new_rel = np.sqrt(max(res_sq, 0.0)) / norm_t if norm_t > 0.0 else 0.0
         history.append(new_rel)
         done = abs(rel_err - new_rel) < opts.tol
         rel_err = new_rel
@@ -118,3 +130,9 @@ def cpd_als(t, opts):
 
     model = KruskalTensor(factors, np.ones(rank))
     return AlsResult(model, rel_err, history, n_iter=it, converged=converged)
+
+
+def _explicit_residual_sq(t, factors):
+    """``||T - [[U_1..U_N]]||^2`` from the formed reconstruction."""
+    d = matricize(t, 0) - factors[0] @ factors_khatri_rao(factors, skip=0).T
+    return float(np.vdot(d, d))

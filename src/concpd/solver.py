@@ -11,8 +11,17 @@ descent guarantee.
 
 Two evaluation modes:
 
-* ``full`` — gradients use the raw tensors (one tall Khatri-Rao product per
-  mode, block and iteration).
+* ``full`` — gradients use the raw tensors through
+  :func:`concpd.tensor_ops.mttkrp` on their C-order views: per block and
+  sweep, one GEMM against a Khatri-Rao product for the first mode, and one
+  GEMM for the partial product that the other modes contract with small
+  factor matrices.  The objective comes from the gram expansion
+  ``||M||^2 - 2 lam^T b + lam^T G lam``, where ``b`` is the last mode's
+  contraction (exact at the new iterate) and ``G`` the cached gram product;
+  it is formed from the explicit residual instead where that is small
+  (below ``1e-3 ||M||^2``) and wherever the expanded value is not strictly
+  below the last recorded objective, so every restart decision and every
+  value recorded after a restart is computed explicitly.
 * ``lra`` — each tensor is first compressed by unconstrained ALS
   (:func:`concpd.cpd_als.cpd_als`); gradient linear terms then reduce to
   products of small cross-gram matrices, so per-iteration cost scales with
@@ -46,7 +55,14 @@ import numpy as np
 
 from .cpd_als import AlsOptions, cpd_als
 from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
-from .tensor_ops import factors_khatri_rao, hadamard_gram, matricize, spectral_norm
+from .tensor_ops import (
+    factors_khatri_rao,
+    hadamard_gram,
+    matricize,
+    mttkrp,
+    mttkrp_partial,
+    spectral_norm,
+)
 
 __all__ = [
     "CoupledProblem",
@@ -105,7 +121,8 @@ class CoupledProblem:
     als_options: AlsOptions = None
 
     def __post_init__(self):
-        self.tensors = [np.asarray(t, dtype=float) for t in self.tensors]
+        # C order makes the solver's unfoldings copy-free views
+        self.tensors = [np.ascontiguousarray(t, dtype=float) for t in self.tensors]
         if isinstance(self.ranks, (int, np.integer)):
             self.ranks = [int(self.ranks)] * len(self.tensors)
         self.ranks = [int(r) for r in self.ranks]
@@ -218,13 +235,14 @@ class SolveResult:
 
 def objective(tensors, blocks):
     """``1/2 sum_s ||M_s - [[lam_s; U_s]]||_F^2`` via explicit residuals."""
-    total = 0.0
-    for t, k in zip(tensors, blocks):
-        m0 = matricize(t, 0)
-        x0 = (k.factors[0] * k.weights) @ factors_khatri_rao(k.factors, skip=0).T
-        d = m0 - x0
-        total += 0.5 * float(np.einsum("ij,ij->", d, d))
-    return total
+    return sum(0.5 * _residual_sq(t, k) for t, k in zip(tensors, blocks))
+
+
+def _residual_sq(tensor, block):
+    """``||M - [[lam; U]]||_F^2`` from the formed residual."""
+    x0 = (block.factors[0] * block.weights) @ factors_khatri_rao(block.factors, skip=0).T
+    d = matricize(tensor, 0) - x0
+    return float(np.einsum("ij,ij->", d, d))
 
 
 def core_gradient(gram_all, lam_hat, linear):
@@ -238,9 +256,13 @@ def core_gradient(gram_all, lam_hat, linear):
 
 
 def core_linear_term(tensor, factors):
-    """``(U_kr)^T vec(M)`` computed through the mode-0 unfolding."""
-    mtt = matricize(tensor, 0) @ factors_khatri_rao(factors, skip=0)
-    return np.einsum("ir,ir->r", factors[0], mtt)
+    """``(U_kr)^T vec(M)``: the last mode's MTTKRP against its factor.
+
+    Costs one tensor-sized GEMM (the partial product of the first factor)
+    and no Khatri-Rao product.
+    """
+    last = len(factors) - 1
+    return np.einsum("ir,ir->r", factors[last], mttkrp(tensor, factors, last))
 
 
 def core_linear_term_lra(tilde, factors):
@@ -266,8 +288,9 @@ def factor_gradient(u_hat, gram_skip, mtt, lam):
 
 
 def factor_linear_term(tensor, factors, n):
-    """``M_(n) U_kr^(-n)`` — the tall product that dominates full-mode cost."""
-    return matricize(tensor, n) @ factors_khatri_rao(factors, skip=n)
+    """``M_(n) U_kr^(-n)`` — the product that dominates full-mode cost, by
+    the kernel the solver runs (:func:`concpd.tensor_ops.mttkrp`)."""
+    return mttkrp(tensor, factors, n)
 
 
 def factor_linear_term_lra(tilde, factors, n):
@@ -369,7 +392,6 @@ class _Apg:
         self.curr = start.blocks
         self.prev = [b.copy() for b in self.curr]
 
-        self.m0 = [matricize(t, 0) for t in problem.tensors]
         self.norm_sq = [float(np.vdot(t, t)) for t in problem.tensors]
         self.gram = [[f.T @ f for f in b.factors] for b in self.curr]
         if tilde is not None:
@@ -383,9 +405,13 @@ class _Apg:
             ]
         # full-mode core linear terms (U_kr)^T vec(M), staged at iteration end
         self.b = [None] * self.S
-        # last-mode linear term cached for reuse, tagged with its iteration
-        self._mtt_last = [None] * self.S
-        self._mtt_tag = [-1] * self.S
+        # full-mode tensor products reused within a sweep, each stored as
+        # (sweep id, array): the partial product of the updated first factor
+        # and the last mode's MTTKRP.  Any change of the factors outside a
+        # mode update starts a new id, so a stale product is never read.
+        self._sweep_id = 0
+        self._partial = [(-1, None)] * self.S
+        self._mtt_last = [(-1, None)] * self.S
         self._iter_tag = 0
 
         self.lip_core = [None] * self.S
@@ -411,6 +437,29 @@ class _Apg:
         self.gram[s][n] = f.T @ f
         if self.tilde is not None:
             self.cross[s][n] = self.tilde[s].factors[n].T @ f
+
+    def _refresh_all_caches(self):
+        """After the factors changed outside a mode update."""
+        self._sweep_id += 1
+        for s in range(self.S):
+            for n in range(self.N):
+                self._refresh_factor_caches(s, n)
+
+    def _mttkrp(self, s, n):
+        """Block ``s``'s mode-``n`` MTTKRP at the current factors; modes after
+        the first share one partial product per sweep."""
+        tensor, facs = self.p.tensors[s], self.curr[s].factors
+        if n == 0:
+            return mttkrp(tensor, facs, 0)
+        sweep, partial = self._partial[s]
+        if sweep != self._sweep_id:
+            # the first factor is final for this sweep once a later mode runs
+            partial = mttkrp_partial(tensor, facs[0])
+            self._partial[s] = (self._sweep_id, partial)
+        mtt = mttkrp(tensor, facs, n, partial)
+        if n == self.N - 1:
+            self._mtt_last[s] = (self._sweep_id, mtt)
+        return mtt
 
     # -- block updates -----------------------------------------------------
 
@@ -448,12 +497,7 @@ class _Apg:
             mtt = None
             if lu > 0.0:
                 if self.tilde is None:
-                    kr = factors_khatri_rao(self.curr[s].factors, skip=n)
-                    m_n = self.m0[s] if n == 0 else matricize(self.p.tensors[s], n)
-                    mtt = m_n @ kr
-                    if n == self.N - 1:
-                        self._mtt_last[s] = mtt
-                        self._mtt_tag[s] = self._iter_tag
+                    mtt = self._mttkrp(s, n)
                 else:
                     tilde = self.tilde[s]
                     cross_skip = self._cross_product(s, skip=n)
@@ -499,6 +543,7 @@ class _Apg:
             self._refresh_factor_caches(s, n)
 
     def _sweep(self, w_hat):
+        self._sweep_id += 1
         if self.p.update_core:
             self._update_cores(w_hat)
         for n in range(self.N):
@@ -523,66 +568,66 @@ class _Apg:
         core = reconstruct(KruskalTensor(coeffs, weights))
         return float(np.vdot(core, core))
 
-    def _evaluate(self):
+    def _evaluate(self, bound=-np.inf):
         """Objective and relative error at the current iterate.
 
-        Returns ``(obj_internal, obj_original, rel_err)`` and stages the
-        next iteration's core linear terms (full mode).  The internal
-        objective is evaluated so that its error stays far below the true
-        per-iteration decrease — explicitly in full mode, via the QR route
-        in lra mode once the compressed residual is small.
+        Returns ``(obj_internal, obj_original, rel_err, staged)``, where
+        ``staged`` holds the next iteration's core linear terms (full mode).
+        The internal objective is evaluated so that its error stays far
+        below the true per-iteration decrease.  In full mode the gram
+        expansion is kept only if no block's residual is small and the total
+        lies strictly below ``bound``; otherwise every block's residual is
+        formed explicitly, as it always is at the default bound.  In lra mode
+        the QR route takes over once the compressed residual is small.
         """
         obj_int = 0.0
-        obj_orig = 0.0
-        rel = 0.0
-        staged = [None] * self.S
-        for s in range(self.S):
-            lam = self.curr[s].weights
-            facs = self.curr[s].factors
+        res, staged = [], [None] * self.S
+        for s, blk in enumerate(self.curr):
+            lam = blk.weights
+            model_sq = float(lam @ self._gram_product(s) @ lam)
             if self.tilde is None:
-                kr0 = factors_khatri_rao(facs, skip=0)
-                x0 = (facs[0] * lam) @ kr0.T
-                d = self.m0[s] - x0
-                res_sq = float(np.einsum("ij,ij->", d, d))
-                obj_int += 0.5 * res_sq
-                if self._mtt_tag[s] == self._iter_tag:
-                    staged[s] = np.einsum(
-                        "ir,ir->r", facs[self.N - 1], self._mtt_last[s]
-                    )
+                sweep, mtt = self._mtt_last[s]
+                if sweep == self._sweep_id:
+                    staged[s] = np.einsum("ir,ir->r", blk.factors[-1], mtt)
                 else:
-                    staged[s] = np.einsum("ir,ir->r", facs[0], self.m0[s] @ kr0)
+                    staged[s] = core_linear_term(self.p.tensors[s], blk.factors)
+                b = staged[s]
             else:
-                model_sq = float(lam @ self._gram_product(s) @ lam)
                 inner = float(lam @ (self._cross_product(s).T @ self.tilde[s].weights))
                 res_sq_t = self.tilde_sq[s] - 2.0 * inner + model_sq
                 if res_sq_t < 1e-3 * self.tilde_sq[s]:
                     res_sq_t = self._small_residual_sq(s)
                 obj_int += 0.5 * max(res_sq_t, 0.0)
                 # original-tensor quantities for the trace and stopping rule
-                kr0 = factors_khatri_rao(facs, skip=0)
-                b_orig = np.einsum("ir,ir->r", facs[0], self.m0[s] @ kr0)
-                res_sq = max(self.norm_sq[s] - 2.0 * lam @ b_orig + model_sq, 0.0)
-            if not np.isfinite(res_sq):
+                b = core_linear_term(self.p.tensors[s], blk.factors)
+            res.append(self.norm_sq[s] - 2.0 * float(lam @ b) + model_sq)
+        if self.tilde is None:
+            obj_int = sum(0.5 * r for r in res)
+            # the expansion cancels badly once a residual is small, and the
+            # restart rule decides on explicit values only
+            if any(r < 1e-3 * n for r, n in zip(res, self.norm_sq)) or not obj_int < bound:
+                res = [_residual_sq(t, k) for t, k in zip(self.p.tensors, self.curr)]
+                obj_int = sum(0.5 * r for r in res)
+        rel = 0.0
+        for s, r in enumerate(res):
+            if not np.isfinite(r):
                 raise FloatingPointError(
                     f"block {s} produced a non-finite objective "
                     f"at iteration {self._iter_tag}"
                 )
-            if self.tilde is None:
-                obj_orig = obj_int
-            else:
-                obj_orig += 0.5 * res_sq
             norm = np.sqrt(self.norm_sq[s])
-            rel += np.sqrt(max(res_sq, 0.0)) / norm if norm > 0.0 else 0.0
+            rel += np.sqrt(max(r, 0.0)) / norm if norm > 0.0 else 0.0
+        if self.tilde is None:
+            obj_orig = obj_int
+        else:
+            obj_orig = sum(0.5 * max(r, 0.0) for r in res)
         return obj_int, obj_orig, rel / self.S, staged
 
     # -- one iteration with restart ------------------------------------------
 
     def _restore_previous(self):
-        for s in range(self.S):
-            self.curr[s].weights = self.prev[s].weights.copy()
-            for n in range(self.N):
-                self.curr[s].factors[n] = self.prev[s].factors[n].copy()
-                self._refresh_factor_caches(s, n)
+        self.curr = [b.copy() for b in self.prev]
+        self._refresh_all_caches()
 
     def _step(self, obj_last):
         """One extrapolated sweep, redone plainly if the objective rises."""
@@ -590,7 +635,7 @@ class _Apg:
         w_hat = (self.t_k - 1.0) / t_new
         self.t_k = t_new
         self._sweep(w_hat)
-        step = self._evaluate()
+        step = self._evaluate(obj_last)
         if step[0] >= obj_last:
             # extrapolation overshot: redo the iteration without it
             self.n_restarts += 1
@@ -617,11 +662,10 @@ class _Apg:
         self.t_k = 1.0
         self.lip_core = [None] * self.S
         self.lip_fac = [[None] * self.S for _ in range(self.N)]
-        self._mtt_tag = [-1] * self.S
         self.b = self._evaluate()[3]
         for _ in range(ESCAPE_SWEEPS):
             self._sweep(0.0)
-            step = self._evaluate()
+            step = self._evaluate(obj_last)
             if step[0] < obj_last:
                 return step
             self.b = step[3]
@@ -706,10 +750,8 @@ class _Apg:
             lam[r] = scale
             if dead:
                 self._reseed(s, j)
-        for s in range(self.S):
-            self.prev[s] = self.curr[s].copy()
-            for n in range(self.N):
-                self._refresh_factor_caches(s, n)
+        self.prev = [b.copy() for b in self.curr]
+        self._refresh_all_caches()
 
     def _reseed(self, s, j):
         """Fill dead individual slot ``j`` of block ``s`` with a nonnegative
@@ -732,15 +774,11 @@ class _Apg:
         return (
             [b.copy() for b in self.curr], [b.copy() for b in self.prev],
             self.b, self.t_k, list(self.lip_core), [list(l) for l in self.lip_fac],
-            list(self._mtt_last), list(self._mtt_tag),
         )
 
     def _load(self, saved):
-        (self.curr, self.prev, self.b, self.t_k, self.lip_core, self.lip_fac,
-         self._mtt_last, self._mtt_tag) = saved
-        for s in range(self.S):
-            for n in range(self.N):
-                self._refresh_factor_caches(s, n)
+        self.curr, self.prev, self.b, self.t_k, self.lip_core, self.lip_fac = saved
+        self._refresh_all_caches()
 
 
 def _rank1_nonnegative(tensor):
@@ -749,6 +787,8 @@ def _rank1_nonnegative(tensor):
 
     Starts from the mode sums of the positive part, so it draws nothing.
     """
+    # C order keeps every MTTKRP of the power sweeps copy-free
+    tensor = np.ascontiguousarray(tensor)
     pos = np.maximum(tensor, 0.0)
     cols = []
     for n in range(tensor.ndim):

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: vectorization, unfolding, Khatri-Rao and gram products.
+"""Dense tensor kernels: vectorization, unfolding, Khatri-Rao, MTTKRP and grams.
 
 Conventions (used consistently across the whole package):
 
@@ -12,6 +12,16 @@ Conventions (used consistently across the whole package):
   descending mode order, which makes
   ``vectorize(full_tensor) == factors_khatri_rao(factors) @ weights``
   an exact identity under the ordering above.
+
+Beside that convention, :func:`mttkrp` computes the matricized tensor times
+Khatri-Rao product on the C-order view ``t.reshape(I_1, -1)``, which costs no
+copy for a C-contiguous tensor.  The view's columns run over the other modes
+with the last one fastest, so the first mode contracts against the
+Khatri-Rao product of the other factors in ascending order; every other mode
+contracts the partial product :func:`mttkrp_partial` of the first factor
+with the remaining factors.  Both equal the Fortran-convention product
+``matricize(t, n) @ factors_khatri_rao(factors, skip=n)``; only the
+summation order differs.
 """
 
 import numpy as np
@@ -23,6 +33,8 @@ __all__ = [
     "refold",
     "khatri_rao",
     "factors_khatri_rao",
+    "mttkrp",
+    "mttkrp_partial",
     "hadamard_gram",
     "spectral_norm",
 ]
@@ -93,6 +105,50 @@ def factors_khatri_rao(factors, skip=None):
     """
     mats = [f for k, f in enumerate(factors) if k != skip]
     return khatri_rao(mats[::-1])
+
+
+def mttkrp_partial(t, first):
+    """``P[i_2, ..., i_N, r] = sum_{i_1} t[i_1, ..., i_N] first[i_1, r]``.
+
+    One GEMM on the C-order view.  A sweep that updates the first factor
+    first computes this once after that update and hands it to
+    :func:`mttkrp` for every later mode of the sweep.
+    """
+    t = np.asarray(t)
+    first = np.asarray(first)
+    p = t.reshape(t.shape[0], -1).T @ first
+    return p.reshape(t.shape[1:] + (first.shape[1],))
+
+
+def mttkrp(t, factors, mode, partial=None):
+    """``matricize(t, mode) @ factors_khatri_rao(factors, skip=mode)``
+    without unfolding copies (0-based ``mode``).
+
+    Mode 0 is one GEMM of the C-order view against the Khatri-Rao product
+    of ``factors[1:]`` in ascending order.  Any other mode contracts
+    ``partial`` (``mttkrp_partial(t, factors[0])``, computed here when not
+    given) with the factors of the modes other than 0 and ``mode``, so a
+    caller that reuses one partial across those modes pays one tensor-sized
+    GEMM for all of them.  A tensor that is not C-contiguous is copied by
+    the reshape on every call.
+    """
+    t = np.asarray(t)
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
+    if len(factors) != t.ndim:
+        raise ValueError(f"{len(factors)} factors for an order-{t.ndim} tensor")
+    if mode == 0:
+        return t.reshape(t.shape[0], -1) @ khatri_rao(factors[1:])
+    if partial is None:
+        partial = mttkrp_partial(t, factors[0])
+    # one letter per mode 1..N-1 of the partial, "z" for the rank
+    axes = "abcdefghijklmnopqrstuvwxy"[: t.ndim - 1]
+    terms, operands = [axes + "z"], [partial]
+    for m in range(1, t.ndim):
+        if m != mode:
+            terms.append(axes[m - 1] + "z")
+            operands.append(factors[m])
+    return np.einsum(",".join(terms) + "->" + axes[mode - 1] + "z", *operands)
 
 
 def hadamard_gram(mats, skip=None, mats2=None):

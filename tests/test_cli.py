@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from concpd.cli import main
+from concpd import cli
+from concpd.cli import limit_blas_threads, main
 from concpd.fileio import (
     load_bench,
     load_coupled,
@@ -289,3 +290,13 @@ def test_bench_rejects_unknown_variant(tmp_path, capsys):
     assert run("bench", "--config", config, "--sizes", 1,
                "--out", tmp_path / "b") == 1
     assert "turbo" in capsys.readouterr().err
+
+
+def test_limit_blas_threads_pins_openblas_and_restores():
+    pools = cli._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    before = [get() for get, _ in pools]
+    with limit_blas_threads(1):
+        assert [get() for get, _ in pools] == [1] * len(pools)
+    assert [get() for get, _ in pools] == before

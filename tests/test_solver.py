@@ -162,6 +162,21 @@ def test_objective_history_monotone_full_mode():
     assert len(res.rel_err_history) == res.n_iter + 1
 
 
+def test_full_objective_from_gram_expansion_matches_explicit(monkeypatch):
+    # the explicit residual is formed at the start and around restarts; most
+    # entries come from the gram expansion, which must agree with it
+    prob = make_problem(6, snr_db=20.0)
+    explicit = []
+    formed = solver_module._residual_sq
+    monkeypatch.setattr(solver_module, "_residual_sq",
+                        lambda t, k: explicit.append(1) or formed(t, k))
+    res = solve(prob, SolverOptions(max_iter=60, tol=1e-300, seed=1))
+    assert res.n_iter == 60
+    assert len(explicit) < prob.n_blocks * res.n_iter // 2
+    want = objective(prob.tensors, res.factors.blocks)
+    assert res.objective_history[-1] == pytest.approx(want, rel=1e-10)
+
+
 def test_objective_history_monotone_lra_mode():
     prob = make_problem(7, snr_db=20.0, mode="lra")
     res = solve(prob, SolverOptions(max_iter=150, seed=1))
@@ -211,6 +226,22 @@ def test_restarts_are_counted_and_monotonicity_survives_them():
     res = solve(prob, SolverOptions(max_iter=400, seed=5))
     assert res.n_restarts >= 1
     assert_monotone(res.objective_history)
+
+
+def test_staged_core_terms_are_exact_across_restarts():
+    # the full-mode core terms come from products cached within a sweep; a
+    # restart must never let a product of the discarded sweep through
+    prob = make_problem(16, snr_db=10.0)
+    state = solver_module._Apg(prob, SolverOptions(seed=5), None)
+    obj, _, _, state.b = state._evaluate()
+    for k in range(1, 401):
+        state._iter_tag = k
+        obj, _, _, state.b = state._step(obj)
+        for t, blk, b in zip(prob.tensors, state.curr, state.b):
+            np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
+        if state.n_restarts >= 2:
+            break
+    assert state.n_restarts >= 2
 
 
 def test_max_iter_zero_returns_initialization():
@@ -324,6 +355,22 @@ def test_escape_moves_shared_component_into_dead_shared_slot(monkeypatch, mode):
                                           blocks[0].factors[n][:, :1])
     again = solve_from(monkeypatch, problem, start, opts)
     assert again.objective_history == res.objective_history
+
+
+def test_escape_swap_discards_products_of_the_last_sweep(monkeypatch):
+    problem, _, start = dead_slot_trap()
+    monkeypatch.setattr(solver_module, "init_factors",
+                        lambda prob, seed: CoupledFactorSet(
+                            [b.copy() for b in start.blocks], start.coupled_counts))
+    state = solver_module._Apg(problem, SolverOptions(seed=0), None)
+    obj, _, _, state.b = state._evaluate()
+    state._step(obj)
+    found = state._escape_candidate()
+    assert found is not None
+    state._swap(*found)
+    staged = state._evaluate()[3]
+    for t, blk, b in zip(problem.tensors, state.curr, staged):
+        np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
 
 
 def test_fixed_core_and_uncoupled_problems_never_escape(monkeypatch):

@@ -10,6 +10,8 @@ from concpd.tensor_ops import (
     hadamard_gram,
     khatri_rao,
     matricize,
+    mttkrp,
+    mttkrp_partial,
     refold,
     spectral_norm,
     unvectorize,
@@ -180,6 +182,59 @@ def test_khatri_rao_transpose_product_identity():
     lhs = khatri_rao([a, b]).T @ khatri_rao([c, d])
     rhs = (a.T @ c) * (b.T @ d)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# MTTKRP on the C-order view
+# ---------------------------------------------------------------------------
+
+
+def layouts(dims, seed):
+    """The same values as a C-contiguous, an F-contiguous and a strided array."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(dims)
+    wide = np.zeros(tuple(2 * d for d in dims))
+    strided = wide[tuple(slice(None, None, 2) for _ in dims)]
+    strided[...] = t
+    return {"C": t, "F": np.asfortranarray(t), "strided": strided}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rank", [1, 5])
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+def test_mttkrp_matches_unfolded_product(dims, rank, layout):
+    t = layouts(dims, seed=14)[layout]
+    rng = np.random.default_rng(15)
+    factors = [rng.standard_normal((d, rank)) for d in dims]
+    for mode in range(len(dims)):
+        want = matricize(t, mode) @ factors_khatri_rao(factors, skip=mode)
+        got = mttkrp(t, factors, mode)
+        assert got.shape == (dims[mode], rank)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+def test_mttkrp_reused_partial_equals_fresh(dims):
+    # a sweep computes the partial once after the first factor's update and
+    # then updates the later modes one by one
+    rng = np.random.default_rng(16)
+    t = rng.standard_normal(dims)
+    factors = [rng.standard_normal((d, 5)) for d in dims]
+    partial = mttkrp_partial(t, factors[0])
+    assert partial.shape == dims[1:] + (5,)
+    for mode in range(1, len(dims)):
+        reused = mttkrp(t, factors, mode, partial)
+        assert np.array_equal(reused, mttkrp(t, factors, mode))
+        factors[mode] = rng.standard_normal((dims[mode], 5))
+
+
+def test_mttkrp_rejects_bad_mode_and_factor_count():
+    t = np.zeros((2, 3, 4))
+    factors = [np.ones((d, 2)) for d in (2, 3, 4)]
+    with pytest.raises(ValueError, match="out of range"):
+        mttkrp(t, factors, 3)
+    with pytest.raises(ValueError, match="factors"):
+        mttkrp(t, factors[:2], 0)
 
 
 # ---------------------------------------------------------------------------
