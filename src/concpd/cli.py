@@ -18,6 +18,7 @@ wall clock — for the ``lra`` variants that includes the compression stage.
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 import time
@@ -96,8 +97,6 @@ def _openblas_pools():
     NumPy wheels bundle OpenBLAS with prefixed, 64-bit-integer symbols, so
     every naming variant is tried.
     """
-    import ctypes
-
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
