@@ -398,6 +398,91 @@ def test_rank1_nonnegative_fit_recovers_rank_one_tensor():
     assert sigma == 0.0
 
 
+@pytest.mark.parametrize("mode", ["full", "lra"])
+@pytest.mark.parametrize("dims,counts", [((6, 7), (2, 1)), ((4, 5, 3, 6), (2, 1, 0, 2))],
+                         ids=["order2", "order4"])
+def test_coupled_solves_of_other_orders(mode, dims, counts):
+    prob = make_problem(18, S=3, dims=dims, counts=counts, snr_db=20.0, mode=mode)
+    res = solve(prob, SolverOptions(max_iter=200, seed=13))
+    assert (np.diff(res.objective_history) <= 0.0).all()
+    assert res.rel_err_history[-1] < res.rel_err_history[0]
+    blocks = res.factors.blocks
+    for n, ln in enumerate(counts):
+        for blk in blocks[1:]:
+            np.testing.assert_array_equal(blk.factors[n][:, :ln], blocks[0].factors[n][:, :ln])
+    again = solve(make_problem(18, S=3, dims=dims, counts=counts, snr_db=20.0, mode=mode),
+                  SolverOptions(max_iter=200, seed=13))
+    assert again.objective_history == res.objective_history
+    assert again.rel_err_history == res.rel_err_history
+    for ba, bb in zip(blocks, again.factors.blocks):
+        np.testing.assert_array_equal(ba.weights, bb.weights)
+        for fa, fb in zip(ba.factors, bb.factors):
+            np.testing.assert_array_equal(fa, fb)
+
+
+# --- solve: pinned outcomes ------------------------------------------------------------
+
+
+def uncoupled_mode_problem(mode, three_blocks=False):
+    """Blocks that differ in rank and in their uncoupled mode's size; with
+    ``three_blocks`` the first two share both, so they form one stack."""
+    if three_blocks:
+        rng = np.random.default_rng(14)
+        tensors = [rng.random((5, 6, 7)), rng.random((5, 6, 7)), rng.random((5, 6, 9))]
+        return CoupledProblem(tensors, [3, 3, 4], [2, 1, 0], mode=mode)
+    rng = np.random.default_rng(13)
+    tensors = [rng.random((5, 6, 7)), rng.random((5, 6, 9))]
+    return CoupledProblem(tensors, [3, 4], [2, 2, 0], mode=mode)
+
+
+PINNED_SOLVES = {
+    "full": (lambda: make_problem(16, snr_db=10.0), SolverOptions(max_iter=400, seed=5)),
+    "lra": (lambda: make_problem(7, snr_db=20.0, mode="lra"),
+            SolverOptions(max_iter=300, seed=1)),
+    "lra-noisy": (lambda: make_problem(16, snr_db=10.0, mode="lra"),
+                  SolverOptions(max_iter=400, seed=5)),
+    "fixed-core": (lambda: make_problem(9, update_core=False, snr_db=20.0),
+                   SolverOptions(max_iter=300, seed=3)),
+    "ranks-full": (lambda: uncoupled_mode_problem("full"), SolverOptions(max_iter=300, seed=8)),
+    "ranks-lra": (lambda: uncoupled_mode_problem("lra"), SolverOptions(max_iter=300, seed=8)),
+    "stacks-full": (lambda: uncoupled_mode_problem("full", three_blocks=True),
+                    SolverOptions(max_iter=300, seed=4)),
+    "stacks-lra": (lambda: uncoupled_mode_problem("lra", three_blocks=True),
+                   SolverOptions(max_iter=300, seed=4)),
+}
+
+# (n_iter, n_restarts, n_escapes, final rel_err) of each solve, recorded
+# before the iteration ran on stacked blocks; every one ends by tolerance
+PINNED_OUTCOMES = {
+    "full": (226, 4, 0, 0.23987088143052215),
+    "lra": (252, 0, 0, 0.09501582295767377),
+    "lra-noisy": (380, 2, 0, 0.25421950799400594),
+    "fixed-core": (297, 0, 0, 0.10619176388850211),
+    "ranks-full": (95, 0, 0, 0.4216697770100976),
+    "ranks-lra": (117, 2, 0, 0.4299137130561075),
+    "stacks-full": (102, 0, 0, 0.4216062193874977),
+    "stacks-lra": (151, 1, 0, 0.43505233483632955),
+    "escape-full": (2, 0, 1, 0.04993424482494846),
+    "escape-lra": (2, 0, 1, 0.04989810950433821),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTCOMES))
+def test_pinned_solve_outcomes(monkeypatch, name):
+    if name.startswith("escape-"):
+        problem, _, start = dead_slot_trap(mode=name.split("-")[1])
+        res = solve_from(monkeypatch, problem, start,
+                         SolverOptions(max_iter=10, tol=1.0, seed=0))
+    else:
+        make, opts = PINNED_SOLVES[name]
+        res = solve(make(), opts)
+    n_iter, n_restarts, n_escapes, rel = PINNED_OUTCOMES[name]
+    assert (res.n_iter, res.n_restarts, res.n_escapes) == (n_iter, n_restarts, n_escapes)
+    assert res.termination_reason == "tolerance"
+    assert res.rel_err_history[-1] == pytest.approx(rel, rel=1e-9)
+    assert (np.diff(res.objective_history) <= 0.0).all()
+
+
 # --- solve: trace and reporting --------------------------------------------------------
 
 
