@@ -9,6 +9,14 @@ objective fails to decrease the iteration is redone from the
 non-extrapolated points, which restores the majorization-minimization
 descent guarantee.
 
+Blocks that share their dims and rank form a group, held as stacks: per
+mode one ``(S, I_n, R)`` factor array, the weights as ``(S, R)`` and the
+grams and cross-grams as ``(S, R, R)`` stacks.  Each update is then a few
+batched products and one stacked :func:`spectral_norm` call per group.  The
+shared columns are one slice, stepped along the gradient summed over the
+block axis of every group.  Blocks of other dims or ranks form further
+groups, a lone block a group of one; there is no per-block iteration.
+
 Two evaluation modes:
 
 * ``full`` — gradients use the raw tensors through
@@ -29,6 +37,13 @@ Two evaluation modes:
   quantities (objective, relative error) still refer to the original
   tensors, as does the stopping rule; the restart safeguard governs the
   compressed objective, which is what the iteration actually minimizes.
+  That objective comes from the gram expansion, whose rounding error is
+  bounded by the same expansion over absolute values (``|U~|^T U`` per mode
+  update, ``|U~|^T |U~|`` once).  The expansion plus that bound, an upper
+  bound of the true value, is kept when it lies strictly below the last
+  recorded objective.  Otherwise, as at the start and after a restart, the
+  expansion is used as is, and a stable QR route wherever the compressed
+  residual is below ``1e-3 ||M~||^2``.
 
 Escape from a dead shared slot.  The iteration can stall at a point where a
 shared slot's core weight is exactly 0 in some block with a strictly
@@ -250,9 +265,10 @@ def core_gradient(gram_all, lam_hat, linear):
 
     ``gram_all`` is the all-modes Hadamard product of factor grams and
     ``linear`` the Khatri-Rao contraction of the data (see
-    :func:`core_linear_term`), both at the current factors.
+    :func:`core_linear_term`), both at the current factors.  Takes one
+    block, or ``(S, ...)`` stacks of blocks.
     """
-    return gram_all @ lam_hat - linear
+    return (gram_all @ lam_hat[..., None])[..., 0] - linear
 
 
 def core_linear_term(tensor, factors):
@@ -282,9 +298,10 @@ def factor_gradient(u_hat, gram_skip, mtt, lam):
     ``gram_skip`` is the Hadamard gram over the other modes, ``mtt`` the
     matricized-tensor-times-Khatri-Rao product for this mode (see
     :func:`factor_linear_term`), ``u_hat`` the (possibly extrapolated)
-    point.
+    point.  Takes one block, or ``(S, ...)`` stacks of blocks.
     """
-    return u_hat @ (gram_skip * np.outer(lam, lam)) - mtt * lam
+    outer = lam[..., :, None] * lam[..., None, :]
+    return u_hat @ (gram_skip * outer) - mtt * lam[..., None, :]
 
 
 def factor_linear_term(tensor, factors, n):
@@ -316,10 +333,11 @@ def t_next(t):
 
 
 def extrapolation_weight(w_hat, lip_prev, lip_curr, delta_w):
-    """``min(w_hat, delta_w * sqrt(L_prev / L_curr))``; 0 on degenerate blocks."""
-    if lip_curr <= 0.0 or lip_prev <= 0.0:
-        return 0.0
-    return min(w_hat, delta_w * float(np.sqrt(lip_prev / lip_curr)))
+    """``min(w_hat, delta_w * sqrt(L_prev / L_curr))``; 0 on degenerate
+    blocks.  Element-wise over arrays of step bounds."""
+    live = (lip_prev > 0.0) & (lip_curr > 0.0)
+    ratio = np.divide(lip_prev, lip_curr, out=np.zeros(np.shape(live)), where=live)
+    return np.minimum(w_hat, delta_w * np.sqrt(ratio)) * live
 
 
 def init_factors(problem, seed):
@@ -361,24 +379,64 @@ ESCAPE_AGREEMENT = 0.95
 ESCAPE_SWEEPS = 20
 
 
-def _hadamard(mats, skip=None):
-    """Element-wise product of ``mats`` except index ``skip``; ``None`` if empty."""
-    out = None
-    for m, g in enumerate(mats):
-        if m != skip:
-            out = g.copy() if out is None else out * g
-    return out
+def _quad(x, mats, y):
+    """``x_s^T mats_s y_s`` for every matrix of a stack."""
+    return np.einsum("sr,srq,sq->s", x, mats, y)
 
 
-def _spectral_norms(mats):
-    """Per-block step bounds, batched when the blocks share a rank."""
-    if len({m.shape for m in mats}) == 1:
-        return spectral_norm(np.stack(mats))
-    return [spectral_norm(m) for m in mats]
+class _Group:
+    """Blocks ``idx`` of one shape and rank: current and previous factors
+    ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, and per mode
+    the grams ``(N, S, R, R)``.  In lra mode ``cross`` stacks ``U~_n^T U_n``
+    over ``|U~_n|^T U_n``, ``(N, S, 2 R~, R)``: one product over modes gives
+    the cross-gram product and the bound on the expansion's rounding error.
+    """
+
+    def __init__(self, idx, blocks, tilde):
+        self.idx = idx
+        order = blocks[idx[0]].order
+        self.u = [np.stack([blocks[s].factors[n] for s in idx]) for n in range(order)]
+        self.lam = np.stack([blocks[s].weights for s in idx])
+        self.u_prev = [u.copy() for u in self.u]
+        self.lam_prev = self.lam.copy()
+        size, rank = self.lam.shape
+        self.gram = np.empty((order, size, rank, rank))
+        self.lip_core, self.lip_fac = None, [None] * order
+        self.tilde_t = None
+        if tilde is not None:
+            facs = [np.stack([tilde[s].factors[n] for s in idx]) for n in range(order)]
+            self.mu = np.stack([tilde[s].weights for s in idx])
+            self.rt = self.mu.shape[1]
+            self.tilde_t = [np.concatenate([f, np.abs(f)], axis=2).transpose(0, 2, 1).copy()
+                            for f in facs]
+            self.tilde_mtt = [f * self.mu[:, None, :] for f in facs]
+            self.cross = np.empty((order, size, 2 * self.rt, rank))
+            grams = [np.prod([f.transpose(0, 2, 1) @ f for f in fs], axis=0)
+                     for fs in (facs, [np.abs(f) for f in facs])]
+            self.tilde_sq = _quad(self.mu, grams[0], self.mu)
+            self.tilde_abs_sq = _quad(np.abs(self.mu), grams[1], np.abs(self.mu))
+            # every term of the expansion passes through at most this many
+            # roundings: the grams' sums, the Hadamard products, the
+            # quadratic forms' sums and the two additions
+            roundings = sum(f.shape[1] for f in facs) + order + (rank + self.rt) ** 2 + 4
+            self.err_scale = roundings * np.finfo(float).eps
+        for n in range(order):
+            self.refresh(n)
+
+    def refresh(self, n):
+        u = self.u[n]
+        np.matmul(u.transpose(0, 2, 1), u, out=self.gram[n])
+        if self.tilde_t is not None:
+            np.matmul(self.tilde_t[n], u, out=self.cross[n])
+
+    def arrays(self):
+        """The current iterate's stacks, then the previous iterate's."""
+        return self.u + [self.lam], self.u_prev + [self.lam_prev]
 
 
 class _Apg:
-    """Iteration state: current/previous iterates plus gram caches."""
+    """Iteration state: the groups' stacks, and per block ``curr[s]``, a
+    model whose factors and weights are views of its group's stacks."""
 
     def __init__(self, problem, opts, tilde):
         self.p = problem
@@ -387,22 +445,21 @@ class _Apg:
         self.S = problem.n_blocks
         self.N = problem.order
         self.counts = problem.coupled_counts
+        self._others = [[m for m in range(self.N) if m != n] for n in range(self.N)]
 
-        start = init_factors(problem, opts.seed)
-        self.curr = start.blocks
-        self.prev = [b.copy() for b in self.curr]
+        start = init_factors(problem, opts.seed).blocks
+        members = {}
+        for s, blk in enumerate(start):
+            key = (blk.dims, blk.rank, None if tilde is None else tilde[s].rank)
+            members.setdefault(key, []).append(s)
+        # block 0 is row 0 of the first group
+        self.groups = [_Group(idx, start, tilde) for idx in members.values()]
+        self.curr = [None] * self.S
+        for g in self.groups:
+            for j, s in enumerate(g.idx):
+                self.curr[s] = KruskalTensor([u[j] for u in g.u], g.lam[j])
 
-        self.norm_sq = [float(np.vdot(t, t)) for t in problem.tensors]
-        self.gram = [[f.T @ f for f in b.factors] for b in self.curr]
-        if tilde is not None:
-            self.cross = [
-                [tf.T @ f for tf, f in zip(tilde[s].factors, self.curr[s].factors)]
-                for s in range(self.S)
-            ]
-            self.tilde_sq = [
-                float(np.ones(k.rank) @ hadamard_gram(k.factors) @ np.ones(k.rank))
-                for k in tilde
-            ]
+        self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
         # full-mode core linear terms (U_kr)^T vec(M), staged at iteration end
         self.b = [None] * self.S
         # full-mode tensor products reused within a sweep, each stored as
@@ -414,8 +471,6 @@ class _Apg:
         self._mtt_last = [(-1, None)] * self.S
         self._iter_tag = 0
 
-        self.lip_core = [None] * self.S
-        self.lip_fac = [[None] * self.S for _ in range(self.N)]
         self.t_k = 1.0
         self.n_restarts = 0
         self.n_escapes = 0
@@ -423,27 +478,14 @@ class _Apg:
         # needs a core to carry scale and a slot shared by two or more blocks
         self.can_escape = problem.update_core and self.S > 1 and max(self.counts) > 0
 
-    # -- gram-cache helpers ------------------------------------------------
-
-    def _gram_product(self, s, skip=None):
-        out = _hadamard(self.gram[s], skip)
-        return out if out is not None else np.ones((self.p.ranks[s],) * 2)
-
-    def _cross_product(self, s, skip=None):
-        return _hadamard(self.cross[s], skip)
-
-    def _refresh_factor_caches(self, s, n):
-        f = self.curr[s].factors[n]
-        self.gram[s][n] = f.T @ f
-        if self.tilde is not None:
-            self.cross[s][n] = self.tilde[s].factors[n].T @ f
+    # -- caches and tensor products ----------------------------------------
 
     def _refresh_all_caches(self):
         """After the factors changed outside a mode update."""
         self._sweep_id += 1
-        for s in range(self.S):
+        for g in self.groups:
             for n in range(self.N):
-                self._refresh_factor_caches(s, n)
+                g.refresh(n)
 
     def _mttkrp(self, s, n):
         """Block ``s``'s mode-``n`` MTTKRP at the current factors; modes after
@@ -464,83 +506,75 @@ class _Apg:
     # -- block updates -----------------------------------------------------
 
     def _update_cores(self, w_hat):
-        grams = [self._gram_product(s) for s in range(self.S)]
-        for s, (gram_all, ld) in enumerate(zip(grams, _spectral_norms(grams))):
-            ld_prev = self.lip_core[s] if self.lip_core[s] is not None else ld
-            self.lip_core[s] = ld
-            lam = self.curr[s].weights
-            if ld == 0.0:
-                # all factor columns are zero, so the gradient is too
-                self.prev[s].weights = lam
-                self.curr[s].weights = lam.copy()
-                continue
+        for g in self.groups:
+            gram_all = g.gram.prod(axis=0)
+            ld = spectral_norm(gram_all)
+            ld_prev = ld if g.lip_core is None else g.lip_core
+            g.lip_core = ld
             w = extrapolation_weight(w_hat, ld_prev, ld, self.o.delta_w)
-            lam_hat = lam + w * (lam - self.prev[s].weights)
+            lam_hat = g.lam + w[:, None] * (g.lam - g.lam_prev)
             if self.tilde is None:
-                linear = self.b[s]
+                linear = np.stack([self.b[s] for s in g.idx])
             else:
-                linear = self._cross_product(s).T @ self.tilde[s].weights
+                linear = (g.mu[:, None, :] @ g.cross[:, :, :g.rt].prod(axis=0))[:, 0]
             grad = core_gradient(gram_all, lam_hat, linear)
-            self.prev[s].weights = lam
-            self.curr[s].weights = np.maximum(0.0, lam_hat - grad / ld)
+            # a zero bound means zero factor columns and a zero gradient
+            live = (ld > 0.0)[:, None]
+            step = np.maximum(0.0, lam_hat - grad / np.where(live, ld[:, None], 1.0))
+            g.lam_prev[...] = g.lam
+            g.lam[...] = np.where(live, step, g.lam)
 
     def _update_mode(self, n, w_hat):
         ln = self.counts[n]
-        step_mats = [
-            self._gram_product(s, skip=n) * np.outer(b.weights, b.weights)
-            for s, b in enumerate(self.curr)
-        ]
-        per_block = []
-        for s, (step_mat, lu) in enumerate(zip(step_mats, _spectral_norms(step_mats))):
-            lu_prev = self.lip_fac[n][s] if self.lip_fac[n][s] is not None else lu
-            self.lip_fac[n][s] = lu
-            mtt = None
-            if lu > 0.0:
-                if self.tilde is None:
-                    mtt = self._mttkrp(s, n)
-                else:
-                    tilde = self.tilde[s]
-                    cross_skip = self._cross_product(s, skip=n)
-                    mtt = (tilde.factors[n] * tilde.weights) @ cross_skip
-            per_block.append((step_mat, lu, lu_prev, mtt))
+        parts = []
+        for g in self.groups:
+            gram_skip = g.gram[self._others[n]].prod(axis=0)
+            lu = spectral_norm(gram_skip * (g.lam[:, :, None] * g.lam[:, None, :]))
+            lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
+            g.lip_fac[n] = lu
+            if self.tilde is None:
+                # block by block, so each partial product replaces its old one
+                mtt = np.stack([self._mttkrp(s, n) for s in g.idx])
+            else:
+                mtt = g.tilde_mtt[n] @ g.cross[self._others[n], :, :g.rt].prod(axis=0)
+            parts.append((gram_skip, lu, lu_prev, mtt))
 
-        sum_lu = sum(entry[1] for entry in per_block)
         if ln > 0:
-            sum_prev = sum(entry[2] for entry in per_block)
+            sum_lu = sum(float(lu.sum()) for _, lu, _, _ in parts)
+            sum_prev = sum(float(lu_prev.sum()) for _, _, lu_prev, _ in parts)
             w_common = extrapolation_weight(w_hat, sum_prev, sum_lu, self.o.delta_w)
-            c_curr = self.curr[0].factors[n][:, :ln]
-            c_prev = self.prev[0].factors[n][:, :ln]
-            c_hat = c_curr + w_common * (c_curr - c_prev)
+            first = self.groups[0]
+            c_curr = first.u[n][0, :, :ln]
+            c_hat = c_curr + w_common * (c_curr - first.u_prev[n][0, :, :ln])
             grad_common = np.zeros_like(c_hat)
 
         new = []
-        for s, (step_mat, lu, lu_prev, mtt) in enumerate(per_block):
-            u = self.curr[s].factors[n]
-            if lu == 0.0:
-                # zero step bound implies a zero gradient; keep the block
-                new.append(u.copy())
-                continue
+        for g, (gram_skip, lu, lu_prev, mtt) in zip(self.groups, parts):
+            u = g.u[n]
             w = extrapolation_weight(w_hat, lu_prev, lu, self.o.delta_w)
-            u_hat = u + w * (u - self.prev[s].factors[n])
+            u_hat = u + w[:, None, None] * (u - g.u_prev[n])
             if ln > 0:
-                u_hat[:, :ln] = c_hat
-            grad = u_hat @ step_mat - mtt * self.curr[s].weights
+                u_hat[:, :, :ln] = c_hat
+            grad = factor_gradient(u_hat, gram_skip, mtt, g.lam)
             if ln > 0:
-                grad_common += grad[:, :ln]
-            # the common columns are overwritten below once all blocks are in
-            new.append(np.maximum(0.0, u_hat - grad / lu))
+                grad_common += grad[:, :, :ln].sum(axis=0)
+            # a zero bound implies a zero gradient: such a block keeps its
+            # factor; the common columns are overwritten below
+            live = (lu > 0.0)[:, None, None]
+            step = np.maximum(0.0, u_hat - grad / np.where(live, lu[:, None, None], 1.0))
+            new.append(np.where(live, step, u))
 
         if ln > 0:
             if sum_lu > 0.0:
                 c_new = np.maximum(0.0, c_hat - grad_common / sum_lu)
             else:
                 c_new = c_curr.copy()
-        for s in range(self.S):
+        for g, u_new in zip(self.groups, new):
             if ln > 0:
-                new[s][:, :ln] = c_new
-            self.prev[s].factors[n] = self.curr[s].factors[n]
-            self.curr[s].factors[n] = new[s]
-            self._refresh_factor_caches(s, n)
+                u_new[:, :, :ln] = c_new
+            g.u_prev[n][...] = g.u[n]
+            g.u[n][...] = u_new
+            g.refresh(n)
 
     def _sweep(self, w_hat):
         self._sweep_id += 1
@@ -577,56 +611,69 @@ class _Apg:
         below the true per-iteration decrease.  In full mode the gram
         expansion is kept only if no block's residual is small and the total
         lies strictly below ``bound``; otherwise every block's residual is
-        formed explicitly, as it always is at the default bound.  In lra mode
-        the QR route takes over once the compressed residual is small.
+        formed explicitly, as it always is at the default bound.  In lra
+        mode the expansion plus its rounding-error bound is returned if it
+        lies strictly below ``bound``; otherwise the QR route takes over
+        wherever the compressed residual is small.
         """
-        obj_int = 0.0
-        res, staged = [], [None] * self.S
-        for s, blk in enumerate(self.curr):
-            lam = blk.weights
-            model_sq = float(lam @ self._gram_product(s) @ lam)
-            if self.tilde is None:
+        res, staged = np.empty(self.S), [None] * self.S
+        res_t, err, tilde_sq = np.empty(self.S), np.empty(self.S), np.empty(self.S)
+        for g in self.groups:
+            lam = g.lam
+            model_sq = _quad(lam, g.gram.prod(axis=0), lam)
+            for s in g.idx:
+                facs = self.curr[s].factors
                 sweep, mtt = self._mtt_last[s]
-                if sweep == self._sweep_id:
-                    staged[s] = np.einsum("ir,ir->r", blk.factors[-1], mtt)
+                if self.tilde is None and sweep == self._sweep_id:
+                    staged[s] = np.einsum("ir,ir->r", facs[-1], mtt)
                 else:
-                    staged[s] = core_linear_term(self.p.tensors[s], blk.factors)
-                b = staged[s]
-            else:
-                inner = float(lam @ (self._cross_product(s).T @ self.tilde[s].weights))
-                res_sq_t = self.tilde_sq[s] - 2.0 * inner + model_sq
-                if res_sq_t < 1e-3 * self.tilde_sq[s]:
-                    res_sq_t = self._small_residual_sq(s)
-                obj_int += 0.5 * max(res_sq_t, 0.0)
-                # original-tensor quantities for the trace and stopping rule
-                b = core_linear_term(self.p.tensors[s], blk.factors)
-            res.append(self.norm_sq[s] - 2.0 * float(lam @ b) + model_sq)
+                    # in lra mode: original-tensor terms for the trace and stop rule
+                    staged[s] = core_linear_term(self.p.tensors[s], facs)
+            b = np.stack([staged[s] for s in g.idx])
+            res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", lam, b) + model_sq
+            if self.tilde is not None:
+                cross = g.cross.prod(axis=0)
+                inner = _quad(g.mu, cross[:, :g.rt], lam)
+                res_t[g.idx] = g.tilde_sq - 2.0 * inner + model_sq
+                bound_abs = g.tilde_abs_sq + 2.0 * _quad(np.abs(g.mu), cross[:, g.rt:], lam)
+                err[g.idx] = g.err_scale * (bound_abs + model_sq)
+                tilde_sq[g.idx] = g.tilde_sq
         if self.tilde is None:
-            obj_int = sum(0.5 * r for r in res)
+            obj_int = 0.5 * float(res.sum())
             # the expansion cancels badly once a residual is small, and the
             # restart rule decides on explicit values only
-            if any(r < 1e-3 * n for r, n in zip(res, self.norm_sq)) or not obj_int < bound:
-                res = [_residual_sq(t, k) for t, k in zip(self.p.tensors, self.curr)]
-                obj_int = sum(0.5 * r for r in res)
-        rel = 0.0
-        for s, r in enumerate(res):
-            if not np.isfinite(r):
-                raise FloatingPointError(
-                    f"block {s} produced a non-finite objective "
-                    f"at iteration {self._iter_tag}"
-                )
-            norm = np.sqrt(self.norm_sq[s])
-            rel += np.sqrt(max(r, 0.0)) / norm if norm > 0.0 else 0.0
-        if self.tilde is None:
+            if (res < 1e-3 * self.norm_sq).any() or not obj_int < bound:
+                res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
+                obj_int = 0.5 * float(res.sum())
             obj_orig = obj_int
         else:
-            obj_orig = sum(0.5 * max(r, 0.0) for r in res)
-        return obj_int, obj_orig, rel / self.S, staged
+            obj_int = 0.5 * float((res_t + err).sum())
+            if not obj_int < bound:
+                for s in np.flatnonzero(res_t < 1e-3 * tilde_sq):
+                    res_t[s] = self._small_residual_sq(s)
+                obj_int = 0.5 * float(np.maximum(res_t, 0.0).sum())
+            obj_orig = 0.5 * float(np.maximum(res, 0.0).sum())
+        bad = np.flatnonzero(~np.isfinite(res))
+        if bad.size:
+            raise FloatingPointError(
+                f"block {bad[0]} produced a non-finite objective "
+                f"at iteration {self._iter_tag}"
+            )
+        norm = np.sqrt(self.norm_sq)
+        rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
+        return obj_int, obj_orig, float(rel.sum()) / self.S, staged
 
     # -- one iteration with restart ------------------------------------------
 
+    def _copy_iterate(self, backward):
+        """Previous iterate := current one, or with ``backward`` the reverse."""
+        for g in self.groups:
+            curr, prev = g.arrays()
+            for dst, src in zip(*((curr, prev) if backward else (prev, curr))):
+                dst[...] = src
+
     def _restore_previous(self):
-        self.curr = [b.copy() for b in self.prev]
+        self._copy_iterate(backward=True)
         self._refresh_all_caches()
 
     def _step(self, obj_last):
@@ -660,8 +707,8 @@ class _Apg:
         self._swap(*found)
         # the swap breaks the momentum and curvature history of every block
         self.t_k = 1.0
-        self.lip_core = [None] * self.S
-        self.lip_fac = [[None] * self.S for _ in range(self.N)]
+        for g in self.groups:
+            g.lip_core, g.lip_fac = None, [None] * self.N
         self.b = self._evaluate()[3]
         for _ in range(ESCAPE_SWEEPS):
             self._sweep(0.0)
@@ -750,7 +797,7 @@ class _Apg:
             lam[r] = scale
             if dead:
                 self._reseed(s, j)
-        self.prev = [b.copy() for b in self.curr]
+        self._copy_iterate(backward=False)
         self._refresh_all_caches()
 
     def _reseed(self, s, j):
@@ -771,13 +818,15 @@ class _Apg:
         blk.weights[j] = sigma
 
     def _save(self):
-        return (
-            [b.copy() for b in self.curr], [b.copy() for b in self.prev],
-            self.b, self.t_k, list(self.lip_core), [list(l) for l in self.lip_fac],
-        )
+        stacks = [[a.copy() for part in g.arrays() for a in part] for g in self.groups]
+        steps = [(g.lip_core, list(g.lip_fac)) for g in self.groups]
+        return stacks, steps, self.b, self.t_k
 
     def _load(self, saved):
-        self.curr, self.prev, self.b, self.t_k, self.lip_core, self.lip_fac = saved
+        stacks, steps, self.b, self.t_k = saved
+        for g, arrays, (g.lip_core, g.lip_fac) in zip(self.groups, stacks, steps):
+            for dst, src in zip([a for part in g.arrays() for a in part], arrays):
+                dst[...] = src
         self._refresh_all_caches()
 
 

@@ -290,6 +290,47 @@ def test_solution_is_nonnegative():
         assert blk.is_nonnegative()
 
 
+def test_lra_evaluate_keeps_the_expansion_only_when_certified(monkeypatch):
+    # the compressed residual is small (so the exact route is QR), and a
+    # second compression adds two components that cancel exactly, whose
+    # absolute-value grams make the expansion's error bound useless
+    rng = np.random.default_rng(19)
+    dims, counts = (5, 6, 7), [1, 1, 1]
+    common = [rng.random((d, 1)) for d in dims]
+    truth = [KruskalTensor([np.hstack([c, rng.random((d, 2))]) for c, d in zip(common, dims)],
+                           rng.uniform(0.5, 1.5, 3)) for _ in range(2)]
+    start = CoupledFactorSet([KruskalTensor([f * rng.uniform(0.99, 1.01, f.shape[1])
+                                             for f in k.factors], k.weights) for k in truth],
+                             counts)
+    problem = CoupledProblem([reconstruct(k) for k in truth], 3, counts, mode="lra")
+    monkeypatch.setattr(solver_module, "init_factors", lambda prob, seed: start)
+    qr_calls = []
+    qr = solver_module._Apg._small_residual_sq
+    monkeypatch.setattr(solver_module._Apg, "_small_residual_sq",
+                        lambda self, s: qr_calls.append(s) or qr(self, s))
+
+    def cancelling(k):
+        vec = [rng.random((d, 1)) for d in dims]
+        return KruskalTensor([np.hstack([f, v, v]) for f, v in zip(k.factors, vec)],
+                             np.concatenate([k.weights, [1e3, -1e3]]))
+
+    for tilde, certified in ((truth, True), ([cancelling(k) for k in truth], False)):
+        state = solver_module._Apg(problem, SolverOptions(seed=0), tilde)
+        exact = 0.5 * sum(np.linalg.norm(reconstruct(t) - reconstruct(k)) ** 2
+                          for t, k in zip(tilde, state.curr))
+        qr_calls.clear()
+        got = state._evaluate(exact * (1.0 + 1e-6))[0]
+        assert len(qr_calls) == (0 if certified else 2)
+        if certified:
+            assert exact <= got <= exact * (1.0 + 1e-6)
+        else:
+            assert got == pytest.approx(exact, rel=1e-9)
+        # with no bound to beat the expansion still returns an upper bound
+        assert state._evaluate(np.inf)[0] >= exact
+        # the default bound, as at the start and after a restart, is exact
+        assert state._evaluate()[0] == pytest.approx(exact, rel=1e-9)
+
+
 # --- solve: escape from a dead shared slot -------------------------------------------
 
 
