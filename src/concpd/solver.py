@@ -415,9 +415,9 @@ class _Group:
                      for fs in (facs, [np.abs(f) for f in facs])]
             self.tilde_sq = _quad(self.mu, grams[0], self.mu)
             self.tilde_abs_sq = _quad(np.abs(self.mu), grams[1], np.abs(self.mu))
-            # every term of the expansion passes through at most this many
-            # roundings: the grams' sums, the Hadamard products, the
-            # quadratic forms' sums and the two additions
+            # no term of the expansion passes through more roundings than
+            # this (gram sums, Hadamard and quadratic-form products and sums,
+            # two additions); eps, twice the unit roundoff, covers the rest
             roundings = sum(f.shape[1] for f in facs) + order + (rank + self.rt) ** 2 + 4
             self.err_scale = roundings * np.finfo(float).eps
         for n in range(order):
@@ -824,7 +824,8 @@ class _Apg:
 
     def _load(self, saved):
         stacks, steps, self.b, self.t_k = saved
-        for g, arrays, (g.lip_core, g.lip_fac) in zip(self.groups, stacks, steps):
+        for g, arrays, (lip_core, lip_fac) in zip(self.groups, stacks, steps):
+            g.lip_core, g.lip_fac = lip_core, lip_fac
             for dst, src in zip([a for part in g.arrays() for a in part], arrays):
                 dst[...] = src
         self._refresh_all_caches()
