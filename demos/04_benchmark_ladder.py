@@ -24,8 +24,8 @@ def main_demo():
         ])
         print(f"bench exit code {code}")
 
-        rows, workers = load_bench(out / "bench.csv")
-        print(f"{len(rows)} rows measured with {workers} worker(s)\n")
+        rows = load_bench(out / "bench.csv")
+        print(f"{len(rows)} rows measured one after another\n")
 
         print(f"{'n':>3s} {'variant':10s} {'PI':>8s} {'TenFit':>8s} "
               f"{'ms':>8s} {'ObjFun':>10s}")

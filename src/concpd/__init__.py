@@ -4,10 +4,8 @@ from .cpd_als import AlsOptions, AlsResult, cpd_als
 from .kruskal import (
     CoupledFactorSet,
     KruskalTensor,
-    ddiag_to_tensor,
     normalize_columns,
     reconstruct,
-    tensor_to_ddiag,
 )
 from .metrics import (
     MetricReport,

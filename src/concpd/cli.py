@@ -9,20 +9,17 @@ flags.
 
 ``bench`` sweeps a size ladder over the four solver variants (``full``,
 ``lra``, and their fixed-core ``-nc`` forms), one row per (size, variant,
-repeat) with the repeat index added to the base seed.  Repeats may run
-concurrently (``--workers``, capped by the ``RUN_THREADS`` environment
-variable); the worker count is recorded in the bench CSV so timing columns
-measured under concurrency are recognizable.  Reported time is the solver
-wall clock — for the ``lra`` variants that includes the compression stage.
+repeat) with the repeat index added to the base seed.  Runs go one after
+another in this process, so no timing column is measured under
+concurrency.  Reported time is the solver wall clock — for the ``lra``
+variants that includes the compression stage.
 """
 
 import argparse
 import csv
 import ctypes
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,7 +52,7 @@ SOLVE_DEFAULTS = {
 }
 BENCH_DEFAULTS = {
     "sizes": [2, 3], "variants": list(VARIANTS), "repeats": 3, "blocks": 10,
-    "snr_db": 20.0, "seed": 0, "workers": 1, "blas_threads": None,
+    "snr_db": 20.0, "seed": 0, "blas_threads": None,
     "max_iter": 1000, "tol": 1e-8, "delta_w": 0.9999, "out": None,
     "dims": None, "rank": None, "coupled": None,
 }
@@ -148,7 +145,7 @@ def _opt_ints(text):
 # how config-file strings coerce back to values, per setting
 _CONVERTERS = {
     "n": int, "blocks": int, "seed": int, "max_iter": int, "trace_every": int,
-    "repeats": int, "workers": int,
+    "repeats": int,
     "snr_db": float, "tol": float, "delta_w": float,
     "no_core": _to_bool,
     "rank": _opt_int, "blas_threads": _opt_int,
@@ -271,23 +268,11 @@ def _nan_row(n, variant, rep):
             "objfun": float("nan")}
 
 
-def _worker_cap(requested):
-    env = os.environ.get("RUN_THREADS")
-    if not env:
-        return requested
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(f"RUN_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(requested, cap))
-
-
 def cmd_bench(args):
     settings = resolve_settings(args, BENCH_DEFAULTS, required=("out",))
     unknown = [v for v in settings["variants"] if v not in VARIANTS]
     if unknown:
         raise ValueError(f"unknown variants {unknown}; pick from {list(VARIANTS)}")
-    settings["workers"] = _worker_cap(settings["workers"])
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -319,16 +304,11 @@ def cmd_bench(args):
 
     jobs = _bench_jobs(settings)
     with limit_blas_threads(settings["blas_threads"]):
-        if settings["workers"] > 1:
-            with ThreadPoolExecutor(max_workers=settings["workers"]) as pool:
-                outcomes = list(pool.map(guarded, jobs))
-        else:
-            outcomes = [guarded(job) for job in jobs]
+        outcomes = [guarded(job) for job in jobs]
 
     rows = [row for row, _ in outcomes]
     failures = [msg for _, msg in outcomes if msg is not None]
-    bench_path = fileio.save_bench(out / "bench.csv", rows,
-                                   workers=settings["workers"])
+    bench_path = fileio.save_bench(out / "bench.csv", rows)
     _write_bench_mean(out / "bench_mean.csv", rows)
     write_resolved(out, "bench", settings)
     for msg in failures:
@@ -443,8 +423,6 @@ def build_parser():
     _opt(b, "--snr-db", type=float, help="noise level in dB [20]")
     _opt(b, "--seed", type=int,
          help="base seed; repeat r uses seed + r [0]")
-    _opt(b, "--workers", type=int,
-         help="concurrent runs; RUN_THREADS caps this [1]")
     _opt(b, "--blas-threads", type=int,
          help="pin the BLAS pool while timing (threadpoolctl or OpenBLAS)")
     _opt(b, "--max-iter", type=int, help="iteration cap [1000]")

@@ -11,8 +11,8 @@ All formats are plain text so artifacts stay diffable and greppable:
   counts, per-block ranks, and the tensor (and optionally ground-truth
   model) file names, relative to the manifest's directory.
 * trace CSV (``iter,objfun,relerr,elapsed_s``) and bench CSV
-  (``n,variant,repeat,pi,tenfit,time_s,objfun``, preceded by a
-  ``# workers=`` comment recording the concurrency the timings ran under).
+  (``n,variant,repeat,pi,tenfit,time_s,objfun``; the reader skips ``#``
+  comment lines, such as the ``# workers=`` line of older files).
 * MetricReport — a flat key-value block, or one row of a metrics CSV.
 
 Floats are written with 17 significant digits, so every round trip through
@@ -261,15 +261,9 @@ def load_trace(path):
 # --------------------------------------------------------------------------
 # benchmark tables
 
-def save_bench(path, rows, workers=1):
-    """Write benchmark rows as CSV, recording the worker count used.
-
-    ``rows`` are dicts keyed by :data:`BENCH_FIELDS`.  The leading
-    ``# workers=`` comment marks whether the timing columns were measured
-    single-threaded (the scaling comparisons require ``workers=1``).
-    """
+def save_bench(path, rows):
+    """Write benchmark rows, dicts keyed by :data:`BENCH_FIELDS`, as CSV."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# workers={int(workers)}\n")
         writer = csv.writer(fh)
         writer.writerow(BENCH_FIELDS)
         for row in rows:
@@ -282,16 +276,9 @@ def save_bench(path, rows, workers=1):
 
 
 def load_bench(path):
-    """Read a bench CSV back as ``(rows, workers)`` with typed values."""
-    workers = 1
+    """Read a bench CSV back as rows with typed values, skipping ``#`` lines."""
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            _, _, val = first.partition("=")
-            workers = int(val)
-        else:
-            fh.seek(0)
-        reader = csv.reader(fh)
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
         header = next(reader, None)
         if header is None or tuple(header) != BENCH_FIELDS:
             raise _bad(path, f"unexpected bench header {header}")
@@ -307,7 +294,7 @@ def load_bench(path):
                 })
         except (ValueError, IndexError) as exc:
             raise _bad(path, f"malformed bench row: {exc}") from None
-    return rows, workers
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,6 @@ __all__ = [
     "KruskalTensor",
     "CoupledFactorSet",
     "reconstruct",
-    "ddiag_to_tensor",
-    "tensor_to_ddiag",
     "normalize_columns",
 ]
 
@@ -117,27 +115,6 @@ def reconstruct(k):
     """
     unfolded = (k.factors[0] * k.weights) @ factors_khatri_rao(k.factors, skip=0).T
     return refold(unfolded, 0, k.dims)
-
-
-def ddiag_to_tensor(v, order):
-    """Order-``order`` tensor with ``v`` on the super-diagonal, zeros elsewhere."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    r = v.size
-    out = np.zeros((r,) * order)
-    idx = np.arange(r)
-    out[(idx,) * order] = v
-    return out
-
-
-def tensor_to_ddiag(t):
-    """Super-diagonal of a hypercubic tensor as a vector (inverse of ``ddiag_to_tensor``)."""
-    t = np.asarray(t)
-    if len(set(t.shape)) != 1:
-        raise ValueError(f"tensor is not hypercubic: {t.shape}")
-    idx = np.arange(t.shape[0])
-    return t[(idx,) * t.ndim].copy()
 
 
 def normalize_columns(k):

@@ -72,7 +72,8 @@ from .cpd_als import AlsOptions, cpd_als
 from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
 from .tensor_ops import (
     factors_khatri_rao,
-    hadamard_gram,
+    # unused here, but kept bound: the benchmark's tracer wraps it by name
+    hadamard_gram,  # noqa: F401
     matricize,
     mttkrp,
     mttkrp_partial,
@@ -92,7 +93,6 @@ __all__ = [
     "core_linear_term_lra",
     "factor_linear_term",
     "factor_linear_term_lra",
-    "lipschitz_core",
     "lipschitz_factor",
     "extrapolation_weight",
     "t_next",
@@ -281,15 +281,14 @@ def core_linear_term(tensor, factors):
     return np.einsum("ir,ir->r", factors[last], mttkrp(tensor, factors, last))
 
 
-def core_linear_term_lra(tilde, factors):
-    """Same contraction when ``M`` is the compressed model ``tilde``.
+def core_linear_term_lra(mu, cross):
+    """Same contraction when ``M`` is a compressed model with weights ``mu``.
 
-    Uses the cross-gram identity: the Khatri-Rao contraction of
-    ``reconstruct(tilde)`` equals the all-modes Hadamard product of
-    ``U^T U~`` summed against the compression weights.
+    ``cross[n]`` is the mode-``n`` cross-gram ``U~_n^T U_n``; the Khatri-Rao
+    contraction of the compressed model is ``mu`` against their Hadamard
+    product.  Takes one block, or ``(S, ...)`` stacks of blocks.
     """
-    cross = hadamard_gram(factors, mats2=tilde.factors)
-    return cross @ tilde.weights
+    return (mu[..., None, :] @ np.multiply.reduce(cross))[..., 0, :]
 
 
 def factor_gradient(u_hat, gram_skip, mtt, lam):
@@ -310,21 +309,20 @@ def factor_linear_term(tensor, factors, n):
     return mttkrp(tensor, factors, n)
 
 
-def factor_linear_term_lra(tilde, factors, n):
-    """Same product against ``reconstruct(tilde)`` using only small matrices."""
-    cross = hadamard_gram(tilde.factors, skip=n, mats2=factors)
-    return (tilde.factors[n] * tilde.weights) @ cross
+def factor_linear_term_lra(weighted, cross_others):
+    """Same product against a compressed model, from small matrices only.
+
+    ``weighted`` is ``U~_n diag(mu)`` and ``cross_others`` the cross-grams
+    ``U~_m^T U_m`` of the other modes ``m``.  Takes one block, or ``(S, ...)``
+    stacks of blocks.
+    """
+    return weighted @ np.multiply.reduce(cross_others)
 
 
-def lipschitz_core(factors):
-    """Step-size bound for the core update: spectral norm of the full gram."""
-    return spectral_norm(hadamard_gram(factors))
-
-
-def lipschitz_factor(factors, lam, n):
-    """Step-size bound for a mode-``n`` factor update."""
-    gram_skip = hadamard_gram(factors, skip=n)
-    return spectral_norm(gram_skip * np.outer(lam, lam))
+def lipschitz_factor(gram_skip, lam):
+    """Step-size bound for a factor update: the spectral norm of
+    ``gram_skip * lam lam^T``.  Takes one block, or ``(S, ...)`` stacks."""
+    return spectral_norm(gram_skip * (lam[..., :, None] * lam[..., None, :]))
 
 
 def t_next(t):
@@ -516,7 +514,7 @@ class _Apg:
             if self.tilde is None:
                 linear = np.stack([self.b[s] for s in g.idx])
             else:
-                linear = (g.mu[:, None, :] @ g.cross[:, :, :g.rt].prod(axis=0))[:, 0]
+                linear = core_linear_term_lra(g.mu, g.cross[:, :, :g.rt])
             grad = core_gradient(gram_all, lam_hat, linear)
             # a zero bound means zero factor columns and a zero gradient
             live = (ld > 0.0)[:, None]
@@ -529,14 +527,15 @@ class _Apg:
         parts = []
         for g in self.groups:
             gram_skip = g.gram[self._others[n]].prod(axis=0)
-            lu = spectral_norm(gram_skip * (g.lam[:, :, None] * g.lam[:, None, :]))
+            lu = lipschitz_factor(gram_skip, g.lam)
             lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
             g.lip_fac[n] = lu
             if self.tilde is None:
                 # block by block, so each partial product replaces its old one
                 mtt = np.stack([self._mttkrp(s, n) for s in g.idx])
             else:
-                mtt = g.tilde_mtt[n] @ g.cross[self._others[n], :, :g.rt].prod(axis=0)
+                mtt = factor_linear_term_lra(g.tilde_mtt[n],
+                                             g.cross[self._others[n], :, :g.rt])
             parts.append((gram_skip, lu, lu_prev, mtt))
 
         if ln > 0:

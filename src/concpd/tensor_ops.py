@@ -188,14 +188,12 @@ def spectral_norm(g):
     an underestimate would oversize the proximal steps that divide by it.
     Returns 0.0 for the zero matrix.  A stack of shape ``(..., R, R)`` gives
     the array of its matrices' norms from one batched LAPACK call, each
-    bit-identical to the norm of that matrix alone.
+    bit-identical to the norm of that matrix alone; a single matrix gives a
+    ``float``.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if g.ndim == 2:
-        if not g.any():
-            return 0.0
-        return max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {g.shape}")
     top = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
-    return np.where(g.any(axis=(-2, -1)), top, 0.0)
+    top = np.where(g.any(axis=(-2, -1)), top, 0.0)
+    return float(top) if g.ndim == 2 else top

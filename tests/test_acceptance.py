@@ -156,7 +156,10 @@ def test_gradients_match_central_differences():
             def factor_grad(s, n):
                 block = fset.blocks[s]
                 src = tildes[s] if compressed else data[s]
-                mtt = (factor_linear_term_lra(src, block.factors, n)
+                mtt = (factor_linear_term_lra(
+                           src.factors[n] * src.weights,
+                           [src.factors[m].T @ block.factors[m]
+                            for m in range(3) if m != n])
                        if compressed
                        else factor_linear_term(src, block.factors, n))
                 return factor_gradient(block.factors[n],
@@ -165,7 +168,9 @@ def test_gradients_match_central_differences():
 
             for s, block in enumerate(fset.blocks):
                 src = tildes[s] if compressed else data[s]
-                linear = (core_linear_term_lra(src, block.factors)
+                linear = (core_linear_term_lra(
+                              src.weights,
+                              [t.T @ u for t, u in zip(src.factors, block.factors)])
                           if compressed
                           else core_linear_term(src, block.factors))
                 analytic = core_gradient(hadamard_gram(block.factors),
@@ -229,12 +234,16 @@ def test_tensor_algebra_identities():
             [rng.standard_normal((d, tilde_rank)) for d in dims],
             rng.standard_normal(tilde_rank))
         surrogate = reconstruct(tilde)
-        np.testing.assert_allclose(core_linear_term_lra(tilde, mats),
+        np.testing.assert_allclose(core_linear_term_lra(
+                                       tilde.weights,
+                                       [t.T @ u for t, u in zip(tilde.factors, mats)]),
                                    core_linear_term(surrogate, mats),
                                    rtol=1e-10, atol=1e-10)
         for n in range(order):
             np.testing.assert_allclose(
-                factor_linear_term_lra(tilde, mats, n),
+                factor_linear_term_lra(tilde.factors[n] * tilde.weights,
+                                       [tilde.factors[m].T @ mats[m]
+                                        for m in range(order) if m != n]),
                 factor_linear_term(surrogate, mats, n),
                 rtol=1e-10, atol=1e-10)
 

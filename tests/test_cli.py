@@ -219,8 +219,8 @@ def test_bench_tiny_ladder(tmp_path):
                "--repeats", 2, "--blocks", 2, "--max-iter", 5,
                "--seed", 1, "--out", out)
     assert code == 0
-    rows, workers = load_bench(out / "bench.csv")
-    assert workers == 1
+    rows = load_bench(out / "bench.csv")
+    assert not (out / "bench.csv").read_text().startswith("#")
     assert [(r["n"], r["variant"], r["repeat"]) for r in rows] == [
         (1, "full", 0), (1, "full", 1), (1, "lra", 0), (1, "lra", 1),
     ]
@@ -243,34 +243,12 @@ def test_bench_repeat_seeds_vary_but_reruns_match(tmp_path):
             "--blocks", 2, "--max-iter", 4, "--seed", 5)
     assert run(*args, "--out", tmp_path / "one") == 0
     assert run(*args, "--out", tmp_path / "two") == 0
-    rows1, _ = load_bench(tmp_path / "one" / "bench.csv")
-    rows2, _ = load_bench(tmp_path / "two" / "bench.csv")
+    rows1 = load_bench(tmp_path / "one" / "bench.csv")
+    rows2 = load_bench(tmp_path / "two" / "bench.csv")
     assert rows1[0]["objfun"] != rows1[1]["objfun"]  # repeats independent
     for a, b in zip(rows1, rows2):
         assert a["objfun"] == b["objfun"]  # timing aside, rerun identical
         assert a["pi"] == b["pi"]
-
-
-def test_bench_run_threads_caps_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("RUN_THREADS", "1")
-    out = tmp_path / "b"
-    assert run("bench", "--sizes", 1, "--variants", "full", "--repeats", 2,
-               "--blocks", 2, "--max-iter", 2, "--workers", 8,
-               "--out", out) == 0
-    _, workers = load_bench(out / "bench.csv")
-    assert workers == 1
-    assert dict(load_keyvals(out / "config.resolved"))["workers"] == "1"
-
-
-def test_bench_concurrent_workers_flagged(tmp_path, monkeypatch):
-    monkeypatch.delenv("RUN_THREADS", raising=False)
-    out = tmp_path / "b"
-    assert run("bench", "--sizes", 1, "--variants", "full", "--repeats", 3,
-               "--blocks", 2, "--max-iter", 3, "--workers", 2,
-               "--out", out) == 0
-    rows, workers = load_bench(out / "bench.csv")
-    assert workers == 2
-    assert [r["repeat"] for r in rows] == [0, 1, 2]  # order kept
 
 
 def test_bench_records_failed_rows_and_exits_nonzero(tmp_path, capsys):
@@ -278,7 +256,7 @@ def test_bench_records_failed_rows_and_exits_nonzero(tmp_path, capsys):
     code = run("bench", "--sizes", 1, "--variants", "full", "--repeats", 2,
                "--blocks", 2, "--max-iter", -1, "--out", out)
     assert code == 1
-    rows, _ = load_bench(out / "bench.csv")
+    rows = load_bench(out / "bench.csv")
     assert len(rows) == 2 and all(np.isnan(r["pi"]) for r in rows)
     err = capsys.readouterr().err
     assert "failed" in err and "repeat 1" in err

@@ -253,22 +253,30 @@ def test_bench_round_trip_with_worker_flag(tmp_path):
     rows = [bench_row(2, "full", 0, 1), bench_row(2, "lra", 0, 2),
             bench_row(3, "full-nc", 1, 3)]
     path = tmp_path / "bench.csv"
-    save_bench(path, rows, workers=4)
+    save_bench(path, rows)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# workers=4"
-    assert lines[1] == ",".join(BENCH_FIELDS)
-    back, workers = load_bench(path)
-    assert workers == 4
-    assert back == rows
+    assert lines[0] == ",".join(BENCH_FIELDS)
+    assert load_bench(path) == rows
+    # files written before the worker count was dropped lead with it
+    path.write_text("# workers=4\n" + path.read_text())
+    assert load_bench(path) == rows
 
 
 def test_bench_reader_defaults_to_one_worker(tmp_path):
     path = tmp_path / "bench.csv"
     path.write_text(",".join(BENCH_FIELDS) + "\n2,full,0,0.1,0.9,1.5,3.25\n")
-    rows, workers = load_bench(path)
-    assert workers == 1
+    rows = load_bench(path)
     assert rows == [{"n": 2, "variant": "full", "repeat": 0, "pi": 0.1,
                      "tenfit": 0.9, "time_s": 1.5, "objfun": 3.25}]
+
+
+def test_bench_reader_skips_comment_lines(tmp_path):
+    path = tmp_path / "bench.csv"
+    path.write_text("# workers=2\n" + ",".join(BENCH_FIELDS) + "\n"
+                    "2,full,0,0.1,0.9,1.5,3.25\n# a note\n"
+                    "2,lra,1,0.2,0.8,0.5,4.5\n")
+    assert [(r["variant"], r["repeat"]) for r in load_bench(path)] == [
+        ("full", 0), ("lra", 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ import pytest
 from concpd.kruskal import (
     CoupledFactorSet,
     KruskalTensor,
-    ddiag_to_tensor,
     normalize_columns,
     reconstruct,
-    tensor_to_ddiag,
 )
 
 
@@ -84,25 +82,6 @@ def test_reconstruct_rank_one():
     b = np.array([[3.0], [5.0]])
     k = KruskalTensor([a, b], np.array([2.0]))
     assert np.allclose(reconstruct(k), 2.0 * np.outer(a, b))
-
-
-# ---------------------------------------------------------------------------
-# super-diagonal conversions
-# ---------------------------------------------------------------------------
-
-
-def test_ddiag_round_trip():
-    v = np.array([1.5, -2.0, 0.25])
-    t = ddiag_to_tensor(v, 3)
-    assert t.shape == (3, 3, 3)
-    assert t[0, 0, 0] == 1.5 and t[1, 1, 1] == -2.0 and t[2, 2, 2] == 0.25
-    assert np.count_nonzero(t) == 3
-    assert np.array_equal(tensor_to_ddiag(t), v)
-
-
-def test_tensor_to_ddiag_requires_hypercube():
-    with pytest.raises(ValueError):
-        tensor_to_ddiag(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

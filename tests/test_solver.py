@@ -15,13 +15,12 @@ from concpd.solver import (
     factor_linear_term,
     factor_linear_term_lra,
     init_factors,
-    lipschitz_core,
     lipschitz_factor,
     objective,
     solve,
     t_next,
 )
-from concpd.tensor_ops import factors_khatri_rao, hadamard_gram
+from concpd.tensor_ops import factors_khatri_rao, hadamard_gram, spectral_norm
 
 
 def make_problem(seed, S=2, dims=(6, 7, 8), rank=4, counts=(2, 2, 2),
@@ -59,7 +58,8 @@ def test_compressed_core_linear_term_matches_full():
         [rng.standard_normal((d, 2)) for d in dims], rng.standard_normal(2)
     )
     full = core_linear_term(reconstruct(tilde), facs)
-    fast = core_linear_term_lra(tilde, facs)
+    fast = core_linear_term_lra(tilde.weights,
+                                [t.T @ u for t, u in zip(tilde.factors, facs)])
     assert np.allclose(fast, full, atol=1e-10)
 
 
@@ -73,7 +73,9 @@ def test_compressed_factor_linear_term_matches_full():
     dense = reconstruct(tilde)
     for n in range(3):
         full = factor_linear_term(dense, facs, n)
-        fast = factor_linear_term_lra(tilde, facs, n)
+        fast = factor_linear_term_lra(tilde.factors[n] * tilde.weights,
+                                      [tilde.factors[m].T @ facs[m]
+                                       for m in range(3) if m != n])
         assert np.allclose(fast, full, atol=1e-10), f"mode {n}"
 
 
@@ -85,7 +87,7 @@ def test_lipschitz_core_matches_dense_gram():
     facs = [rng.random((d, 3)) for d in (4, 5, 6)]
     kr = factors_khatri_rao(facs)
     want = np.linalg.norm(kr.T @ kr, 2)
-    assert lipschitz_core(facs) == pytest.approx(want, rel=1e-10)
+    assert spectral_norm(hadamard_gram(facs)) == pytest.approx(want, rel=1e-10)
 
 
 def test_lipschitz_factor_matches_dense_gram():
@@ -95,7 +97,8 @@ def test_lipschitz_factor_matches_dense_gram():
     for n in range(3):
         kr = factors_khatri_rao(facs, skip=n)
         want = np.linalg.norm(np.diag(lam) @ kr.T @ kr @ np.diag(lam), 2)
-        assert lipschitz_factor(facs, lam, n) == pytest.approx(want, rel=1e-10)
+        assert lipschitz_factor(hadamard_gram(facs, skip=n), lam) == pytest.approx(
+            want, rel=1e-10)
 
 
 # --- momentum schedule ------------------------------------------------------------

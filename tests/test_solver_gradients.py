@@ -99,7 +99,8 @@ def analytic_core_lra(tilde, block):
     return core_gradient(
         hadamard_gram(block.factors),
         block.weights,
-        core_linear_term_lra(tilde, block.factors),
+        core_linear_term_lra(tilde.weights,
+                             [t.T @ u for t, u in zip(tilde.factors, block.factors)]),
     )
 
 
@@ -116,7 +117,9 @@ def analytic_factor_lra(tilde, block, n):
     return factor_gradient(
         block.factors[n],
         hadamard_gram(block.factors, skip=n),
-        factor_linear_term_lra(tilde, block.factors, n),
+        factor_linear_term_lra(tilde.factors[n] * tilde.weights,
+                               [tilde.factors[m].T @ block.factors[m]
+                                for m in range(N_MODES) if m != n]),
         block.weights,
     )
 
