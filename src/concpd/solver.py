@@ -434,7 +434,8 @@ class _Group:
 
 class _Apg:
     """Iteration state: the groups' stacks, and per block ``curr[s]``, a
-    model whose factors and weights are views of its group's stacks."""
+    model whose factors and weights are views of its group's stacks.  Only
+    the evaluation right after a sweep reads the tensor products it forms."""
 
     def __init__(self, problem, opts, tilde):
         self.p = problem
@@ -460,13 +461,9 @@ class _Apg:
         self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
         # full-mode core linear terms (U_kr)^T vec(M), staged at iteration end
         self.b = [None] * self.S
-        # full-mode tensor products reused within a sweep, each stored as
-        # (sweep id, array): the partial product of the updated first factor
-        # and the last mode's MTTKRP.  Any change of the factors outside a
-        # mode update starts a new id, so a stale product is never read.
-        self._sweep_id = 0
-        self._partial = [(-1, None)] * self.S
-        self._mtt_last = [(-1, None)] * self.S
+        # full mode: per block, the partial product every sweep rebuilds at mode
+        # 1; holding it until then lets the allocator reuse its pages
+        self._workspace = [None] * self.S
         self._iter_tag = 0
 
         self.t_k = 1.0
@@ -475,31 +472,6 @@ class _Apg:
         # escapes swap slots between shared and individual columns, which
         # needs a core to carry scale and a slot shared by two or more blocks
         self.can_escape = problem.update_core and self.S > 1 and max(self.counts) > 0
-
-    # -- caches and tensor products ----------------------------------------
-
-    def _refresh_all_caches(self):
-        """After the factors changed outside a mode update."""
-        self._sweep_id += 1
-        for g in self.groups:
-            for n in range(self.N):
-                g.refresh(n)
-
-    def _mttkrp(self, s, n):
-        """Block ``s``'s mode-``n`` MTTKRP at the current factors; modes after
-        the first share one partial product per sweep."""
-        tensor, facs = self.p.tensors[s], self.curr[s].factors
-        if n == 0:
-            return mttkrp(tensor, facs, 0)
-        sweep, partial = self._partial[s]
-        if sweep != self._sweep_id:
-            # the first factor is final for this sweep once a later mode runs
-            partial = mttkrp_partial(tensor, facs[0])
-            self._partial[s] = (self._sweep_id, partial)
-        mtt = mttkrp(tensor, facs, n, partial)
-        if n == self.N - 1:
-            self._mtt_last[s] = (self._sweep_id, mtt)
-        return mtt
 
     # -- block updates -----------------------------------------------------
 
@@ -523,16 +495,22 @@ class _Apg:
             g.lam[...] = np.where(live, step, g.lam)
 
     def _update_mode(self, n, w_hat):
+        """Step mode ``n``; in full mode return the per-block MTTKRPs."""
         ln = self.counts[n]
         parts = []
+        mtts = [None] * self.S if self.tilde is None else None
         for g in self.groups:
             gram_skip = g.gram[self._others[n]].prod(axis=0)
             lu = lipschitz_factor(gram_skip, g.lam)
             lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
             g.lip_fac[n] = lu
             if self.tilde is None:
-                # block by block, so each partial product replaces its old one
-                mtt = np.stack([self._mttkrp(s, n) for s in g.idx])
+                for s in g.idx:
+                    tensor, facs = self.p.tensors[s], self.curr[s].factors
+                    if n == 1:  # the first factor is final for the rest of the sweep
+                        self._workspace[s] = mttkrp_partial(tensor, facs[0])
+                    mtts[s] = mttkrp(tensor, facs, n, self._workspace[s])
+                mtt = np.stack([mtts[s] for s in g.idx])
             else:
                 mtt = factor_linear_term_lra(g.tilde_mtt[n],
                                              g.cross[self._others[n], :, :g.rt])
@@ -574,13 +552,15 @@ class _Apg:
             g.u_prev[n][...] = g.u[n]
             g.u[n][...] = u_new
             g.refresh(n)
+        return mtts
 
     def _sweep(self, w_hat):
-        self._sweep_id += 1
+        """Cores, then each mode; returns the last mode's MTTKRPs (full mode)."""
         if self.p.update_core:
             self._update_cores(w_hat)
         for n in range(self.N):
-            self._update_mode(n, w_hat)
+            mtts = self._update_mode(n, w_hat)
+        return mtts
 
     # -- objective / relative error ----------------------------------------
 
@@ -601,11 +581,13 @@ class _Apg:
         core = reconstruct(KruskalTensor(coeffs, weights))
         return float(np.vdot(core, core))
 
-    def _evaluate(self, bound=-np.inf):
+    def _evaluate(self, bound=-np.inf, mtt=None):
         """Objective and relative error at the current iterate.
 
         Returns ``(obj_internal, obj_original, rel_err, staged)``, where
-        ``staged`` holds the next iteration's core linear terms (full mode).
+        ``staged`` holds the next iteration's core linear terms (full mode),
+        from ``mtt``, the MTTKRPs returned by the sweep that made this
+        iterate, or else from :func:`core_linear_term`.
         The internal objective is evaluated so that its error stays far
         below the true per-iteration decrease.  In full mode the gram
         expansion is kept only if no block's residual is small and the total
@@ -622,11 +604,10 @@ class _Apg:
             model_sq = _quad(lam, g.gram.prod(axis=0), lam)
             for s in g.idx:
                 facs = self.curr[s].factors
-                sweep, mtt = self._mtt_last[s]
-                if self.tilde is None and sweep == self._sweep_id:
-                    staged[s] = np.einsum("ir,ir->r", facs[-1], mtt)
+                if mtt is not None:
+                    staged[s] = np.einsum("ir,ir->r", facs[-1], mtt[s])
                 else:
-                    # in lra mode: original-tensor terms for the trace and stop rule
+                    # at the start, after a swap, and in lra mode for the trace
                     staged[s] = core_linear_term(self.p.tensors[s], facs)
             b = np.stack([staged[s] for s in g.idx])
             res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", lam, b) + model_sq
@@ -664,6 +645,12 @@ class _Apg:
 
     # -- one iteration with restart ------------------------------------------
 
+    def _refresh_grams(self):
+        """After the factors changed outside a mode update."""
+        for g in self.groups:
+            for n in range(self.N):
+                g.refresh(n)
+
     def _copy_iterate(self, backward):
         """Previous iterate := current one, or with ``backward`` the reverse."""
         for g in self.groups:
@@ -671,23 +658,18 @@ class _Apg:
             for dst, src in zip(*((curr, prev) if backward else (prev, curr))):
                 dst[...] = src
 
-    def _restore_previous(self):
-        self._copy_iterate(backward=True)
-        self._refresh_all_caches()
-
     def _step(self, obj_last):
         """One extrapolated sweep, redone plainly if the objective rises."""
         t_new = t_next(self.t_k)
         w_hat = (self.t_k - 1.0) / t_new
         self.t_k = t_new
-        self._sweep(w_hat)
-        step = self._evaluate(obj_last)
+        step = self._evaluate(obj_last, self._sweep(w_hat))
         if step[0] >= obj_last:
             # extrapolation overshot: redo the iteration without it
             self.n_restarts += 1
-            self._restore_previous()
-            self._sweep(0.0)
-            step = self._evaluate()
+            self._copy_iterate(backward=True)
+            self._refresh_grams()
+            step = self._evaluate(mtt=self._sweep(0.0))
         return step
 
     # -- escape from a dead shared slot ---------------------------------------
@@ -710,8 +692,7 @@ class _Apg:
             g.lip_core, g.lip_fac = None, [None] * self.N
         self.b = self._evaluate()[3]
         for _ in range(ESCAPE_SWEEPS):
-            self._sweep(0.0)
-            step = self._evaluate(obj_last)
+            step = self._evaluate(obj_last, self._sweep(0.0))
             if step[0] < obj_last:
                 return step
             self.b = step[3]
@@ -797,7 +778,7 @@ class _Apg:
             if dead:
                 self._reseed(s, j)
         self._copy_iterate(backward=False)
-        self._refresh_all_caches()
+        self._refresh_grams()
 
     def _reseed(self, s, j):
         """Fill dead individual slot ``j`` of block ``s`` with a nonnegative
@@ -827,7 +808,7 @@ class _Apg:
             g.lip_core, g.lip_fac = lip_core, lip_fac
             for dst, src in zip([a for part in g.arrays() for a in part], arrays):
                 dst[...] = src
-        self._refresh_all_caches()
+        self._refresh_grams()
 
 
 def _rank1_nonnegative(tensor):

@@ -151,24 +151,18 @@ def mttkrp(t, factors, mode, partial=None):
     return np.einsum(",".join(terms) + "->" + axes[mode - 1] + "z", *operands)
 
 
-def hadamard_gram(mats, skip=None, mats2=None):
+def hadamard_gram(mats, skip=None):
     """Element-wise product of the per-mode gram matrices.
 
-    Computes ``prod_n (mats[n].T @ mats2[n])`` element-wise, skipping index
-    ``skip`` if given.  With ``mats2=None`` this is the gram
-    ``(U_kr).T @ U_kr`` of the Khatri-Rao product, obtained without forming
-    it.  With distinct ``mats2`` it is the rectangular cross-gram that the
-    compressed solver path relies on.
+    Computes ``prod_n (mats[n].T @ mats[n])`` element-wise, skipping index
+    ``skip`` if given: the gram ``(U_kr).T @ U_kr`` of the Khatri-Rao
+    product, obtained without forming it.
     """
-    if mats2 is None:
-        mats2 = mats
-    if len(mats) != len(mats2):
-        raise ValueError("mats and mats2 must have the same length")
     out = None
-    for k, (a, b) in enumerate(zip(mats, mats2)):
+    for k, a in enumerate(mats):
         if k == skip:
             continue
-        g = np.asarray(a).T @ np.asarray(b)
+        g = np.asarray(a).T @ np.asarray(a)
         if out is None:
             out = g
         elif g.shape != out.shape:

@@ -232,7 +232,7 @@ def test_restarts_are_counted_and_monotonicity_survives_them():
 
 
 def test_staged_core_terms_are_exact_across_restarts():
-    # the full-mode core terms come from products cached within a sweep; a
+    # the full-mode core terms come from the MTTKRPs a sweep returns; a
     # restart must never let a product of the discarded sweep through
     prob = make_problem(16, snr_db=10.0)
     state = solver_module._Apg(prob, SolverOptions(seed=5), None)
@@ -414,6 +414,13 @@ def test_escape_swap_discards_products_of_the_last_sweep(monkeypatch):
     state._swap(*found)
     staged = state._evaluate()[3]
     for t, blk, b in zip(problem.tensors, state.curr, staged):
+        np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
+    # the escape's own sweeps stage the terms of the iterate it accepts
+    state = solver_module._Apg(problem, SolverOptions(seed=0), None)
+    obj, _, _, state.b = state._evaluate()
+    step = state._escape(obj)
+    assert step is not None
+    for t, blk, b in zip(problem.tensors, state.curr, step[3]):
         np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
 
 

@@ -251,14 +251,6 @@ def test_hadamard_gram_full_and_skip():
     assert np.allclose(hadamard_gram(mats, skip=1), want_skip, atol=1e-12)
 
 
-def test_hadamard_gram_cross():
-    rng = np.random.default_rng(10)
-    mats = [rng.standard_normal((d, 3)) for d in (4, 5)]
-    others = [rng.standard_normal((d, 2)) for d in (4, 5)]
-    want = (mats[0].T @ others[0]) * (mats[1].T @ others[1])
-    assert np.allclose(hadamard_gram(mats, mats2=others), want, atol=1e-12)
-
-
 def test_hadamard_gram_is_khatri_rao_gram():
     rng = np.random.default_rng(11)
     mats = [rng.standard_normal((d, 4)) for d in (3, 4, 2)]
