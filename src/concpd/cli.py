@@ -61,30 +61,32 @@ EVAL_DEFAULTS = {"problem": None, "factors": None, "out": None}
 
 @contextmanager
 def limit_blas_threads(n):
-    """Cap the BLAS thread pool while timing; no-op if uncontrollable.
+    """Cap the BLAS thread pool while timing; yields whether a cap holds.
 
     Uses ``threadpoolctl`` where it is installed.  Without it, the thread
     setter of every OpenBLAS library loaded in the process is called
-    directly, and the previous counts are put back on exit.
+    directly, and the previous counts are put back on exit.  The context
+    value is ``False`` when ``n`` is ``None`` or when no BLAS library could
+    be reached, in which case the pool runs at its default size.
     """
     if n is None:
-        yield
+        yield False
         return
     try:
-        from threadpoolctl import threadpool_limits
+        from threadpoolctl import threadpool_info, threadpool_limits
     except ImportError:
         pools = _openblas_pools()
         before = [get() for get, _ in pools]
         for _, put in pools:
             put(int(n))
         try:
-            yield
+            yield bool(pools)
         finally:
             for (_, put), count in zip(pools, before):
                 put(count)
         return
     with threadpool_limits(limits=int(n)):
-        yield
+        yield any(lib["user_api"] == "blas" for lib in threadpool_info())
 
 
 def _openblas_pools():
@@ -303,7 +305,11 @@ def cmd_bench(args):
             return _nan_row(*job), f"n={job[0]} {job[1]} repeat {job[2]}: {exc}"
 
     jobs = _bench_jobs(settings)
-    with limit_blas_threads(settings["blas_threads"]):
+    with limit_blas_threads(settings["blas_threads"]) as pinned:
+        if settings["blas_threads"] is not None and not pinned:
+            print(f"warning: found no BLAS library to limit to "
+                  f"{settings['blas_threads']} thread(s); timings use the "
+                  f"default pool", file=sys.stderr)
         outcomes = [guarded(job) for job in jobs]
 
     rows = [row for row, _ in outcomes]
@@ -424,7 +430,8 @@ def build_parser():
     _opt(b, "--seed", type=int,
          help="base seed; repeat r uses seed + r [0]")
     _opt(b, "--blas-threads", type=int,
-         help="pin the BLAS pool while timing (threadpoolctl or OpenBLAS)")
+         help="pin the BLAS pool while timing (threadpoolctl or OpenBLAS); "
+              "warns when neither is found")
     _opt(b, "--max-iter", type=int, help="iteration cap [1000]")
     _opt(b, "--tol", type=float, help="relative-error change tolerance [1e-8]")
     _opt(b, "--delta-w", type=float, help="extrapolation safety factor [0.9999]")

@@ -57,9 +57,11 @@ def cpd_als(t, opts):
     across sweeps.  Iteration stops when the relative error changes by less
     than ``opts.tol`` between sweeps or after ``opts.max_iter`` sweeps.
 
-    Each sweep runs on :func:`concpd.tensor_ops.mttkrp`: one tensor-sized
-    GEMM for the first mode and one for the partial product that the other
-    modes share.  The residual comes from the gram expansion
+    Each sweep runs on :func:`concpd.tensor_ops.mttkrp`, which forms no
+    Khatri-Rao product: one tensor-sized GEMM for the first mode, against
+    the last factor, and one for the partial product of the first factor
+    that the other modes share, rewritten in one buffer across sweeps.  The
+    residual comes from the gram expansion
     ``||T||^2 - 2 sum_r b_r + 1^T G 1``, with ``b`` the last mode's
     contraction at the final factors and ``G`` the Hadamard product of the
     factor grams.  Where that falls below ``1e-3 ||T||^2`` its cancellation
@@ -94,8 +96,8 @@ def cpd_als(t, opts):
     rel_err = 0.0 if norm_t == 0.0 else 1.0
     converged = False
     it = 0
+    partial = None
     for it in range(1, opts.max_iter + 1):
-        partial = None
         for n in range(t.ndim):
             mtt = mttkrp(t, factors, n, partial)
             v = np.ones((rank, rank))
@@ -111,7 +113,7 @@ def cpd_als(t, opts):
             factors[n] = u
             grams[n] = u.T @ u
             if n == 0:
-                partial = mttkrp_partial(t, u)
+                partial = mttkrp_partial(t, u, partial)
         if not all(np.isfinite(g).all() for g in grams):
             raise ValueError(f"ALS diverged to non-finite values at sweep {it}")
         # mtt and v are still the last mode's: with its new factor they give

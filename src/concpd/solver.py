@@ -20,13 +20,14 @@ groups, a lone block a group of one; there is no per-block iteration.
 Two evaluation modes:
 
 * ``full`` — gradients use the raw tensors through
-  :func:`concpd.tensor_ops.mttkrp` on their C-order views: per block and
-  sweep, one GEMM against a Khatri-Rao product for the first mode, and one
-  GEMM for the partial product that the other modes contract with small
-  factor matrices.  The objective comes from the gram expansion
-  ``||M||^2 - 2 lam^T b + lam^T G lam``, where ``b`` is the last mode's
-  contraction (exact at the new iterate) and ``G`` the cached gram product;
-  it is formed from the explicit residual instead where that is small
+  :func:`concpd.tensor_ops.mttkrp` on their C-order views, with no
+  Khatri-Rao product: per block and sweep, one GEMM against the last
+  factor for the first mode, and one GEMM for the partial product of the
+  first factor, rewritten in one buffer per block, that the other modes
+  contract with small factor matrices.  The objective comes from the gram
+  expansion ``||M||^2 - 2 lam^T b + lam^T G lam``, where ``b`` is the last
+  mode's contraction (exact at the new iterate) and ``G`` the cached gram
+  product; it is formed from the explicit residual instead where that is small
   (below ``1e-3 ||M||^2``) and wherever the expanded value is not strictly
   below the last recorded objective, so every restart decision and every
   value recorded after a restart is computed explicitly.
@@ -274,8 +275,9 @@ def core_gradient(gram_all, lam_hat, linear):
 def core_linear_term(tensor, factors):
     """``(U_kr)^T vec(M)``: the last mode's MTTKRP against its factor.
 
-    Costs one tensor-sized GEMM (the partial product of the first factor)
-    and no Khatri-Rao product.
+    Costs one tensor-sized GEMM (the partial product of the first factor),
+    then per rank column matrix-vector products over the middle modes; no
+    Khatri-Rao product is formed.
     """
     last = len(factors) - 1
     return np.einsum("ir,ir->r", factors[last], mttkrp(tensor, factors, last))
@@ -461,8 +463,8 @@ class _Apg:
         self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
         # full-mode core linear terms (U_kr)^T vec(M), staged at iteration end
         self.b = [None] * self.S
-        # full mode: per block, the partial product every sweep rebuilds at mode
-        # 1; holding it until then lets the allocator reuse its pages
+        # full mode: per block, the buffer of the partial product that every
+        # sweep rewrites in place at mode 1
         self._workspace = [None] * self.S
         self._iter_tag = 0
 
@@ -508,7 +510,7 @@ class _Apg:
                 for s in g.idx:
                     tensor, facs = self.p.tensors[s], self.curr[s].factors
                     if n == 1:  # the first factor is final for the rest of the sweep
-                        self._workspace[s] = mttkrp_partial(tensor, facs[0])
+                        self._workspace[s] = mttkrp_partial(tensor, facs[0], self._workspace[s])
                     mtts[s] = mttkrp(tensor, facs, n, self._workspace[s])
                 mtt = np.stack([mtts[s] for s in g.idx])
             else:

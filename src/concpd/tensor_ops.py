@@ -14,12 +14,13 @@ Conventions (used consistently across the whole package):
   an exact identity under the ordering above.
 
 Beside that convention, :func:`mttkrp` computes the matricized tensor times
-Khatri-Rao product on the C-order view ``t.reshape(I_1, -1)``, which costs no
-copy for a C-contiguous tensor.  The view's columns run over the other modes
-with the last one fastest, so the first mode contracts against the
-Khatri-Rao product of the other factors in ascending order; every other mode
-contracts the partial product :func:`mttkrp_partial` of the first factor
-with the remaining factors.  Both equal the Fortran-convention product
+Khatri-Rao product on C-order views of the tensor, which cost no copy for a
+C-contiguous tensor, and forms no Khatri-Rao product.  Each call makes at
+most one tensor-sized GEMM: the first mode's contracts the last mode, every
+other mode reuses the partial product :func:`mttkrp_partial` of the first
+factor.  Both leave their result rank-major, ``(R, ...)`` and C-contiguous,
+so the remaining modes are contracted by batched matrix-vector products,
+one per rank column.  Every mode equals the Fortran-convention product
 ``matricize(t, n) @ factors_khatri_rao(factors, skip=n)``; only the
 summation order differs.
 """
@@ -107,48 +108,74 @@ def factors_khatri_rao(factors, skip=None):
     return khatri_rao(mats[::-1])
 
 
-def mttkrp_partial(t, first):
+def mttkrp_partial(t, first, out=None):
     """``P[i_2, ..., i_N, r] = sum_{i_1} t[i_1, ..., i_N] first[i_1, r]``.
 
-    One GEMM on the C-order view.  A sweep that updates the first factor
-    first computes this once after that update and hands it to
-    :func:`mttkrp` for every later mode of the sweep.
+    One GEMM, ``first.T @ t.reshape(I_1, -1)``, on the C-order view; the
+    result is stored rank-major, ``(R, I_2, ..., I_N)``, and returned as a
+    free transposed view in the index order above.  ``out``, an earlier
+    result of this function for the same shapes, is written in place, so a
+    caller that rebuilds the partial every sweep keeps one buffer.  A sweep
+    that updates the first factor first computes this once after that
+    update and hands it to :func:`mttkrp` for every later mode of the sweep.
     """
     t = np.asarray(t)
     first = np.asarray(first)
-    p = t.reshape(t.shape[0], -1).T @ first
-    return p.reshape(t.shape[1:] + (first.shape[1],))
+    rank = first.shape[1]
+    base = None if out is None else _rank_first(out).reshape(rank, -1)
+    base = np.matmul(first.T, t.reshape(t.shape[0], -1), out=base)
+    base = base.reshape((rank,) + t.shape[1:])
+    return base.transpose(tuple(range(1, base.ndim)) + (0,))
 
 
 def mttkrp(t, factors, mode, partial=None):
     """``matricize(t, mode) @ factors_khatri_rao(factors, skip=mode)``
-    without unfolding copies (0-based ``mode``).
+    without unfolding copies or a Khatri-Rao product (0-based ``mode``).
 
-    Mode 0 is one GEMM of the C-order view against the Khatri-Rao product
-    of ``factors[1:]`` in ascending order.  Any other mode contracts
-    ``partial`` (``mttkrp_partial(t, factors[0])``, computed here when not
-    given) with the factors of the modes other than 0 and ``mode``, so a
-    caller that reuses one partial across those modes pays one tensor-sized
-    GEMM for all of them.  A tensor that is not C-contiguous is copied by
-    the reshape on every call.
+    Mode 0 is one GEMM of the C-order view against the last factor,
+    ``factors[-1].T @ t.reshape(-1, I_N).T``, which leaves the product
+    rank-major, ``(R, I_1, ..., I_{N-1})``; the middle modes are then
+    contracted by batched matrix-vector products, one per rank column.  Any
+    other mode contracts the rank-major storage of ``partial``
+    (``mttkrp_partial(t, factors[0])``, computed here when not given) the same
+    way over the modes other than 0 and ``mode``, so a caller that reuses one
+    partial across those modes pays one tensor-sized GEMM for all of them.
+    For an order-2 tensor mode 1 contracts nothing, and its result is a view
+    of ``partial``.  A tensor that is not C-contiguous is copied by the
+    reshape on every call.
     """
     t = np.asarray(t)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     if len(factors) != t.ndim:
         raise ValueError(f"{len(factors)} factors for an order-{t.ndim} tensor")
+    if t.ndim < 2:
+        raise ValueError("mttkrp needs a tensor of order 2 or more")
     if mode == 0:
-        return t.reshape(t.shape[0], -1) @ khatri_rao(factors[1:])
+        last = np.asarray(factors[-1])
+        base = last.T @ t.reshape(-1, t.shape[-1]).T
+        base = base.reshape((last.shape[1],) + t.shape[:-1])
+        return _contract_rank_major(base, factors[:-1], 0).T
     if partial is None:
         partial = mttkrp_partial(t, factors[0])
-    # one letter per mode 1..N-1 of the partial, "z" for the rank
-    axes = "abcdefghijklmnopqrstuvwxy"[: t.ndim - 1]
-    terms, operands = [axes + "z"], [partial]
-    for m in range(1, t.ndim):
-        if m != mode:
-            terms.append(axes[m - 1] + "z")
-            operands.append(factors[m])
-    return np.einsum(",".join(terms) + "->" + axes[mode - 1] + "z", *operands)
+    return _contract_rank_major(_rank_first(partial), factors[1:], mode - 1).T
+
+
+def _contract_rank_major(base, mats, keep):
+    """``out[r, j] = sum base[r, j_0, ..., j_k] prod_{m != keep} mats[m][j_m, r]``
+    with ``j = j_keep``: per rank column, matrix-vector products of ``base``
+    against the trailing modes' columns, then the leading modes'."""
+    rank, dims = base.shape[0], base.shape[1:]
+    for m in range(len(dims) - 1, keep, -1):
+        base = base.reshape(rank, -1, dims[m]) @ np.asarray(mats[m]).T[:, :, None]
+    for m in range(keep):
+        base = np.asarray(mats[m]).T[:, None, :] @ base.reshape(rank, dims[m], -1)
+    return base.reshape(rank, dims[keep])
+
+
+def _rank_first(p):
+    """The rank-major view ``(R, I_2, ..., I_N)`` of a partial product."""
+    return p.transpose((p.ndim - 1,) + tuple(range(p.ndim - 1)))
 
 
 def hadamard_gram(mats, skip=None):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line runner (in-process via ``main``)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,17 @@ def test_limit_blas_threads_pins_openblas_and_restores():
     if not pools:
         pytest.skip("no OpenBLAS library is loaded in this process")
     before = [get() for get, _ in pools]
-    with limit_blas_threads(1):
+    with limit_blas_threads(1) as pinned:
         assert [get() for get, _ in pools] == [1] * len(pools)
+        assert pinned
     assert [get() for get, _ in pools] == before
+
+
+def test_bench_warns_when_blas_threads_cannot_be_limited(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setattr(cli, "_openblas_pools", lambda: [])
+    with limit_blas_threads(1) as pinned:
+        assert not pinned
+    assert run("bench", "--sizes", 1, "--variants", "full", "--blocks", 2,
+               "--max-iter", 2, "--blas-threads", 1, "--out", tmp_path / "b") == 0
+    assert "no BLAS library to limit" in capsys.readouterr().err

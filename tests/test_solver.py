@@ -20,7 +20,12 @@ from concpd.solver import (
     solve,
     t_next,
 )
-from concpd.tensor_ops import factors_khatri_rao, hadamard_gram, spectral_norm
+from concpd.tensor_ops import (
+    factors_khatri_rao,
+    hadamard_gram,
+    mttkrp_partial,
+    spectral_norm,
+)
 
 
 def make_problem(seed, S=2, dims=(6, 7, 8), rank=4, counts=(2, 2, 2),
@@ -245,6 +250,20 @@ def test_staged_core_terms_are_exact_across_restarts():
         if state.n_restarts >= 2:
             break
     assert state.n_restarts >= 2
+
+
+def test_full_steps_rewrite_one_partial_buffer_per_block():
+    # every sweep rebuilds the first factor's partial product in place, so
+    # its pages stay with the solver instead of being faulted in anew
+    prob = make_problem(3)
+    state = solver_module._Apg(prob, SolverOptions(seed=0), None)
+    obj, _, _, state.b = state._evaluate()
+    obj, _, _, state.b = state._step(obj)
+    before = list(state._workspace)
+    obj, _, _, state.b = state._step(obj)
+    for t, blk, old, new in zip(prob.tensors, state.curr, before, state._workspace):
+        assert np.shares_memory(old, new)
+        np.testing.assert_array_equal(new, mttkrp_partial(t, blk.factors[0]))
 
 
 def test_max_iter_zero_returns_initialization():

@@ -201,7 +201,7 @@ def layouts(dims, seed):
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("rank", [1, 5])
-@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3), (2, 3, 2, 3, 2)])
 def test_mttkrp_matches_unfolded_product(dims, rank, layout):
     t = layouts(dims, seed=14)[layout]
     rng = np.random.default_rng(15)
@@ -213,7 +213,7 @@ def test_mttkrp_matches_unfolded_product(dims, rank, layout):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3), (2, 3, 2, 3, 2)])
 def test_mttkrp_reused_partial_equals_fresh(dims):
     # a sweep computes the partial once after the first factor's update and
     # then updates the later modes one by one
