@@ -235,6 +235,8 @@ def test_mttkrp_rejects_bad_mode_and_factor_count():
         mttkrp(t, factors, 3)
     with pytest.raises(ValueError, match="factors"):
         mttkrp(t, factors[:2], 0)
+    with pytest.raises(ValueError, match="order 2"):
+        mttkrp(np.zeros(3), [np.ones((3, 2))], 0)
 
 
 # ---------------------------------------------------------------------------
