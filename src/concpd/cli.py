@@ -7,6 +7,13 @@ run can be reproduced from its output directory alone
 order: built-in defaults, then a ``--config`` key-value file, then explicit
 flags.
 
+Every setting is declared once, in :data:`SETTINGS`: its parse function,
+default, help and whether a run needs it.  Defaults that mirror the library
+are read from :class:`SolverOptions` and :class:`SynthSpec`.
+:data:`COMMANDS` names the settings of each subcommand; the flags, the
+``--config`` conversion, the required-setting check and ``config.resolved``
+all derive from these two tables.
+
 ``bench`` sweeps a size ladder over the four solver variants (``full``,
 ``lra``, and their fixed-core ``-nc`` forms), one row per (size, variant,
 repeat) with the repeat index added to the base seed.  Runs go one after
@@ -16,12 +23,12 @@ variants that includes the compression stage.
 """
 
 import argparse
-import csv
 import ctypes
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,23 +47,6 @@ VARIANTS = {
     "full-nc": ("full", False),
     "lra-nc": ("lra", False),
 }
-
-GENERATE_DEFAULTS = {
-    "n": 2, "blocks": 10, "snr_db": 20.0, "seed": 0,
-    "dims": None, "rank": None, "coupled": None, "out": None,
-}
-SOLVE_DEFAULTS = {
-    "problem": None, "out": None, "mode": "full", "no_core": False,
-    "max_iter": 1000, "tol": 1e-8, "delta_w": 0.9999, "seed": 0,
-    "trace_every": 1,
-}
-BENCH_DEFAULTS = {
-    "sizes": [2, 3], "variants": list(VARIANTS), "repeats": 3, "blocks": 10,
-    "snr_db": 20.0, "seed": 0, "blas_threads": None,
-    "max_iter": 1000, "tol": 1e-8, "delta_w": 0.9999, "out": None,
-    "dims": None, "rank": None, "coupled": None,
-}
-EVAL_DEFAULTS = {"problem": None, "factors": None, "out": None}
 
 
 @contextmanager
@@ -120,7 +110,7 @@ def _openblas_pools():
 
 
 # --------------------------------------------------------------------------
-# settings resolution
+# settings
 
 
 def _to_bool(text):
@@ -132,50 +122,52 @@ def _to_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _opt_int(text):
-    return None if text.strip().lower() == "none" else int(text)
+class _Setting(NamedTuple):
+    """One setting; ``parse`` reads one token (a boolean is a bare flag)."""
+
+    parse: object
+    default: object
+    help: str
+    nargs: object = None
+    choices: tuple = None
+    metavar: str = None
+    required: bool = False
 
 
-def _int_list(text):
-    return [int(tok) for tok in text.split()]
-
-
-def _opt_ints(text):
-    return None if text.strip().lower() == "none" else _int_list(text)
-
-
-# how config-file strings coerce back to values, per setting
-_CONVERTERS = {
-    "n": int, "blocks": int, "seed": int, "max_iter": int, "trace_every": int,
-    "repeats": int,
-    "snr_db": float, "tol": float, "delta_w": float,
-    "no_core": _to_bool,
-    "rank": _opt_int, "blas_threads": _opt_int,
-    "dims": _opt_ints, "coupled": _opt_ints,
-    "sizes": _int_list,
-    "variants": lambda text: text.split(),
+SETTINGS = {
+    "problem": _Setting(str, None, "manifest of a stored problem", required=True),
+    "factors": _Setting(str, None, "directory of model_XX.kt files", required=True),
+    "out": _Setting(str, None, "output directory", required=True),
+    "n": _Setting(int, SynthSpec.size_factor, "size factor: block dims (8n, 9n, 10n)"),
+    "sizes": _Setting(int, (2, 3), "size factors to sweep", nargs="+"),
+    "variants": _Setting(str, tuple(VARIANTS), "solver variants to run",
+                         nargs="+", choices=tuple(VARIANTS)),
+    "repeats": _Setting(int, 3, "independent runs per cell"),
+    "blocks": _Setting(int, SynthSpec.n_blocks, "number of coupled tensors"),
+    "snr_db": _Setting(float, SynthSpec.snr_db,
+                       "gaussian noise level in dB; inf for clean tensors"),
+    "dims": _Setting(int, None, "explicit block dims (overrides the size factor)",
+                     nargs=3, metavar="I"),
+    "rank": _Setting(int, None, "explicit rank (overrides the I2/2 rule)"),
+    "coupled": _Setting(int, None,
+                        "explicit shared-column counts (overrides the I2/4 rule)",
+                        nargs=3, metavar="L"),
+    "mode": _Setting(str, "full",
+                     "work on the raw tensors or on compressed surrogates",
+                     choices=("full", "lra")),
+    "no_core": _Setting(_to_bool, False, "keep core weights fixed at one"),
+    "seed": _Setting(int, SolverOptions.seed,
+                     "generation and initialization seed; bench repeat r "
+                     "uses seed + r"),
+    "blas_threads": _Setting(int, None,
+                             "pin the BLAS pool while timing (threadpoolctl or "
+                             "OpenBLAS); warns when neither is found"),
+    "max_iter": _Setting(int, SolverOptions.max_iter, "iteration cap"),
+    "tol": _Setting(float, SolverOptions.tol, "relative-error change tolerance"),
+    "delta_w": _Setting(float, SolverOptions.delta_w, "extrapolation safety factor"),
+    "trace_every": _Setting(int, SolverOptions.trace_every,
+                            "iterations between trace rows"),
 }
-
-
-def resolve_settings(args, defaults, required=()):
-    """Merge defaults <- config file <- explicit flags into one dict."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        for key, value in fileio.load_keyvals(config_path):
-            dest = key.replace("-", "_")
-            if dest == "subcommand":
-                continue
-            if dest not in merged:
-                raise ValueError(f"{config_path}: unknown setting {key!r}")
-            merged[dest] = _CONVERTERS.get(dest, str)(value)
-    for dest, value in vars(args).items():
-        if dest not in ("func", "config", "subcommand"):
-            merged[dest] = value
-    for dest in required:
-        if merged.get(dest) is None:
-            raise ValueError(f"missing required setting --{dest.replace('_', '-')}")
-    return merged
 
 
 def _format_setting(value):
@@ -188,11 +180,40 @@ def _format_setting(value):
     return str(value)
 
 
-def write_resolved(out_dir, subcommand, settings):
-    pairs = [("subcommand", subcommand)]
-    pairs += [(key.replace("_", "-"), _format_setting(settings[key]))
-              for key in sorted(settings)]
-    return fileio.save_keyvals(Path(out_dir) / "config.resolved", pairs)
+def _parse_setting(setting, text):
+    """Inverse of :func:`_format_setting` for one config-file value."""
+    if setting.default is None and text.lower() == "none":
+        return None
+    tokens = text.split() if setting.nargs else [text]
+    values = [setting.parse(tok) for tok in tokens]
+    for value in values:
+        if setting.choices and value not in setting.choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(setting.choices)}")
+    return values if setting.nargs else values[0]
+
+
+def resolve_settings(args, names):
+    """Merge defaults <- config file <- explicit flags into one dict."""
+    merged = {name: SETTINGS[name].default for name in names}
+    config_path = getattr(args, "config", None)
+    if config_path is not None:
+        for key, value in fileio.load_keyvals(config_path):
+            name = key.replace("-", "_")
+            if name == "subcommand":
+                continue
+            if name not in merged:
+                raise ValueError(f"{config_path}: unknown setting {key!r}")
+            try:
+                merged[name] = _parse_setting(SETTINGS[name], value)
+            except ValueError as exc:
+                raise ValueError(f"{config_path}: {key}: {exc}") from None
+    for name, value in vars(args).items():
+        if name not in ("config", "subcommand"):
+            merged[name] = value
+    for name in names:
+        if SETTINGS[name].required and merged[name] is None:
+            raise ValueError(f"missing required setting --{name.replace('_', '-')}")
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -211,12 +232,9 @@ def _synth_spec(settings, size_factor, seed):
     )
 
 
-def cmd_generate(args):
-    settings = resolve_settings(args, GENERATE_DEFAULTS, required=("out",))
+def cmd_generate(settings):
     problem, truth = generate(_synth_spec(settings, settings["n"], settings["seed"]))
-    out = Path(settings["out"])
-    manifest = fileio.save_coupled(out, problem, truth)
-    write_resolved(out, "generate", settings)
+    manifest = fileio.save_coupled(settings["out"], problem, truth)
     print(f"wrote {len(problem.tensors)} blocks to {manifest}")
     return 0
 
@@ -232,8 +250,17 @@ def _run_report(truth, result):
     )
 
 
-def cmd_solve(args):
-    settings = resolve_settings(args, SOLVE_DEFAULTS, required=("problem", "out"))
+def _save_report(out_dir, report):
+    """Write ``metrics.txt`` and ``metrics.csv`` and echo the report."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.save_report(out / "metrics.txt", report)
+    fileio.save_report_csv(out / "metrics.csv", report)
+    sys.stdout.write(fileio.format_report(report))
+    return 0
+
+
+def cmd_solve(settings):
     problem, truth = fileio.load_coupled(
         settings["problem"], mode=settings["mode"],
         update_core=not settings["no_core"],
@@ -249,32 +276,10 @@ def cmd_solve(args):
     for s, block in enumerate(result.factors.blocks):
         fileio.save_model(out / f"model_{s:02d}.kt", block)
     fileio.save_trace(out / "trace.csv", result.trace)
-    report = _run_report(truth, result)
-    fileio.save_report(out / "metrics.txt", report)
-    fileio.save_report_csv(out / "metrics.csv", report)
-    write_resolved(out, "solve", settings)
-    sys.stdout.write(fileio.format_report(report))
-    return 0
+    return _save_report(out, _run_report(truth, result))
 
 
-def _bench_jobs(settings):
-    return [(n, variant, rep)
-            for n in settings["sizes"]
-            for variant in settings["variants"]
-            for rep in range(settings["repeats"])]
-
-
-def _nan_row(n, variant, rep):
-    return {"n": n, "variant": variant, "repeat": rep, "pi": float("nan"),
-            "tenfit": float("nan"), "time_s": float("nan"),
-            "objfun": float("nan")}
-
-
-def cmd_bench(args):
-    settings = resolve_settings(args, BENCH_DEFAULTS, required=("out",))
-    unknown = [v for v in settings["variants"] if v not in VARIANTS]
-    if unknown:
-        raise ValueError(f"unknown variants {unknown}; pick from {list(VARIANTS)}")
+def cmd_bench(settings):
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -302,9 +307,13 @@ def cmd_bench(args):
         try:
             return run_one(job), None
         except Exception as exc:  # record the failed row, keep sweeping
-            return _nan_row(*job), f"n={job[0]} {job[1]} repeat {job[2]}: {exc}"
+            nan_row = dict(zip(fileio.BENCH_FIELDS, job + (float("nan"),) * 4))
+            return nan_row, f"n={job[0]} {job[1]} repeat {job[2]}: {exc}"
 
-    jobs = _bench_jobs(settings)
+    jobs = [(n, variant, rep)
+            for n in settings["sizes"]
+            for variant in settings["variants"]
+            for rep in range(settings["repeats"])]
     with limit_blas_threads(settings["blas_threads"]) as pinned:
         if settings["blas_threads"] is not None and not pinned:
             print(f"warning: found no BLAS library to limit to "
@@ -315,8 +324,7 @@ def cmd_bench(args):
     rows = [row for row, _ in outcomes]
     failures = [msg for _, msg in outcomes if msg is not None]
     bench_path = fileio.save_bench(out / "bench.csv", rows)
-    _write_bench_mean(out / "bench_mean.csv", rows)
-    write_resolved(out, "bench", settings)
+    fileio.save_bench_mean(out / "bench_mean.csv", rows)
     for msg in failures:
         print(f"failed: {msg}", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {bench_path}"
@@ -324,26 +332,7 @@ def cmd_bench(args):
     return 1 if failures else 0
 
 
-def _write_bench_mean(path, rows):
-    """Mean over repeats per (size, variant), in first-seen order."""
-    groups = {}
-    for row in rows:
-        groups.setdefault((row["n"], row["variant"]), []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "variant", "repeats", "pi", "tenfit", "time_s",
-                         "objfun"))
-        for (n, variant), group in groups.items():
-            means = [np.mean([r[f] for r in group])
-                     for f in ("pi", "tenfit", "time_s", "objfun")]
-            writer.writerow([n, variant, len(group)]
-                            + [format(m, ".17g") for m in means])
-    return Path(path)
-
-
-def cmd_eval(args):
-    settings = resolve_settings(args, EVAL_DEFAULTS,
-                                required=("problem", "factors", "out"))
+def cmd_eval(settings):
     problem, truth = fileio.load_coupled(settings["problem"])
     model_paths = sorted(Path(settings["factors"]).glob("model_*.kt"))
     if len(model_paths) != len(problem.tensors):
@@ -360,28 +349,28 @@ def cmd_eval(args):
     report = MetricReport(rel_err=err, ten_fit=1.0 - err, obj_fun=obj,
                           pi_per_mode=pi,
                           elapsed_seconds=time.perf_counter() - start)
-    out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.save_report(out / "metrics.txt", report)
-    fileio.save_report_csv(out / "metrics.csv", report)
-    write_resolved(out, "eval", settings)
-    sys.stdout.write(fileio.format_report(report))
-    return 0
+    return _save_report(settings["out"], report)
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-def _opt(parser, flag, **kwargs):
-    kwargs.setdefault("default", argparse.SUPPRESS)
-    parser.add_argument(flag, **kwargs)
-
-
-def _add_config_flag(parser):
-    _opt(parser, "--config",
-         help="key-value settings file; explicit flags override it")
-    _opt(parser, "--out", help="output directory")
+# subcommand -> (run, help, its settings in --help order)
+COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic coupled problem to disk",
+                 ("n", "blocks", "snr_db", "seed", "dims", "rank", "coupled",
+                  "out")),
+    "solve": (cmd_solve, "decompose a stored coupled problem",
+              ("problem", "mode", "no_core", "max_iter", "tol", "delta_w",
+               "seed", "trace_every", "out")),
+    "bench": (cmd_bench, "sweep the size ladder over variants",
+              ("sizes", "variants", "repeats", "blocks", "snr_db", "seed",
+               "blas_threads", "max_iter", "tol", "delta_w", "dims", "rank",
+               "coupled", "out")),
+    "eval": (cmd_eval, "score stored factors against a problem",
+             ("problem", "factors", "out")),
+}
 
 
 def build_parser():
@@ -390,72 +379,36 @@ def build_parser():
         description="Coupled nonnegative CP decomposition experiments.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    g = sub.add_parser("generate",
-                       help="write a synthetic coupled problem to disk")
-    _opt(g, "--n", type=int, help="size factor: block dims (8n, 9n, 10n) [2]")
-    _opt(g, "--blocks", type=int, help="number of coupled tensors [10]")
-    _opt(g, "--snr-db", type=float,
-         help="gaussian noise level in dB; inf for clean tensors [20]")
-    _opt(g, "--seed", type=int, help="generation seed [0]")
-    _opt(g, "--dims", type=int, nargs=3, metavar="I",
-         help="explicit block dims (overrides --n)")
-    _opt(g, "--rank", type=int, help="explicit rank (overrides the I2/2 rule)")
-    _opt(g, "--coupled", type=int, nargs=3, metavar="L",
-         help="explicit shared-column counts (overrides the I2/4 rule)")
-    _add_config_flag(g)
-    g.set_defaults(func=cmd_generate)
-
-    s = sub.add_parser("solve", help="decompose a stored coupled problem")
-    _opt(s, "--problem", help="manifest of the problem to decompose")
-    _opt(s, "--mode", choices=("full", "lra"),
-         help="work on the raw tensors or on compressed surrogates [full]")
-    _opt(s, "--no-core", action="store_true",
-         help="keep core weights fixed at one")
-    _opt(s, "--max-iter", type=int, help="iteration cap [1000]")
-    _opt(s, "--tol", type=float, help="relative-error change tolerance [1e-8]")
-    _opt(s, "--delta-w", type=float, help="extrapolation safety factor [0.9999]")
-    _opt(s, "--seed", type=int, help="initialization seed [0]")
-    _opt(s, "--trace-every", type=int, help="iterations between trace rows [1]")
-    _add_config_flag(s)
-    s.set_defaults(func=cmd_solve)
-
-    b = sub.add_parser("bench", help="sweep the size ladder over variants")
-    _opt(b, "--sizes", type=int, nargs="+", help="size factors to sweep [2 3]")
-    _opt(b, "--variants", nargs="+", choices=tuple(VARIANTS),
-         help="solver variants to run [all four]")
-    _opt(b, "--repeats", type=int, help="independent runs per cell [3]")
-    _opt(b, "--blocks", type=int, help="tensors per problem [10]")
-    _opt(b, "--snr-db", type=float, help="noise level in dB [20]")
-    _opt(b, "--seed", type=int,
-         help="base seed; repeat r uses seed + r [0]")
-    _opt(b, "--blas-threads", type=int,
-         help="pin the BLAS pool while timing (threadpoolctl or OpenBLAS); "
-              "warns when neither is found")
-    _opt(b, "--max-iter", type=int, help="iteration cap [1000]")
-    _opt(b, "--tol", type=float, help="relative-error change tolerance [1e-8]")
-    _opt(b, "--delta-w", type=float, help="extrapolation safety factor [0.9999]")
-    _opt(b, "--dims", type=int, nargs=3, metavar="I",
-         help="explicit block dims (overrides the ladder sizes)")
-    _opt(b, "--rank", type=int, help="explicit rank")
-    _opt(b, "--coupled", type=int, nargs=3, metavar="L",
-         help="explicit shared-column counts")
-    _add_config_flag(b)
-    b.set_defaults(func=cmd_bench)
-
-    e = sub.add_parser("eval", help="score stored factors against a problem")
-    _opt(e, "--problem", help="manifest of the problem (with truth models)")
-    _opt(e, "--factors", help="directory holding model_XX.kt files")
-    _add_config_flag(e)
-    e.set_defaults(func=cmd_eval)
-
+    for command, (_, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="key-value settings file; explicit flags override it")
+        for name in names:
+            s = SETTINGS[name]
+            if s.parse is _to_bool:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"type": s.parse, "nargs": s.nargs,
+                          "choices": s.choices, "metavar": s.metavar}
+            shown = s.help
+            if s.default is not None and s.default is not False:
+                shown += f" [{_format_setting(s.default)}]"
+            p.add_argument("--" + name.replace("_", "-"),
+                           default=argparse.SUPPRESS, help=shown, **kwargs)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, _, names = COMMANDS[args.subcommand]
     try:
-        return args.func(args)
+        settings = resolve_settings(args, names)
+        code = run(settings)
+        pairs = [("subcommand", args.subcommand)]
+        pairs += [(key.replace("_", "-"), _format_setting(value))
+                  for key, value in sorted(settings.items())]
+        fileio.save_keyvals(Path(settings["out"]) / "config.resolved", pairs)
+        return code
     except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

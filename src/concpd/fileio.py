@@ -10,9 +10,13 @@ All formats are plain text so artifacts stay diffable and greppable:
 * manifest — ties a coupled set together: block count, shared-column
   counts, per-block ranks, and the tensor (and optionally ground-truth
   model) file names, relative to the manifest's directory.
-* trace CSV (``iter,objfun,relerr,elapsed_s``) and bench CSV
-  (``n,variant,repeat,pi,tenfit,time_s,objfun``; the reader skips ``#``
-  comment lines, such as the ``# workers=`` line of older files).
+* CSV tables, each a fixed header and then one row per record:
+  trace (``iter,objfun,relerr,elapsed_s``), bench
+  (``n,variant,repeat,pi,tenfit,time_s,objfun``), bench mean
+  (``n,variant,repeats,pi,tenfit,time_s,objfun``, the mean over repeats
+  per size and variant) and metrics (:data:`REPORT_FIELDS`).  Readers skip
+  blank lines and ``#`` comment lines, such as the ``# workers=`` line of
+  older bench files.
 * MetricReport — a flat key-value block, or one row of a metrics CSV.
 
 Floats are written with 17 significant digits, so every round trip through
@@ -40,6 +44,7 @@ __all__ = [
     "save_bench",
     "load_bench",
     "BENCH_FIELDS",
+    "save_bench_mean",
     "format_report",
     "parse_report",
     "save_report",
@@ -73,6 +78,29 @@ def _header_line(line, key, path):
     if head.strip() != key or not sep:
         raise _bad(path, f"expected '{key}:' line, got {line.strip()!r}")
     return rest.strip()
+
+
+def _save_csv(path, fields, rows):
+    """Write a ``fields`` header line, then one CSV line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+    return Path(path)
+
+
+def _load_csv(path, fields, parse):
+    """``parse`` of each row below a ``fields`` header; skips blank and ``#`` lines."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != fields:
+        raise _bad(path, f"unexpected header {header}, expected {','.join(fields)}")
+    try:
+        return [parse(r) for r in reader]
+    except (ValueError, IndexError) as exc:
+        raise _bad(path, f"malformed row: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -207,21 +235,25 @@ def load_coupled(manifest_path, mode="full", update_core=True):
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     pairs = dict(load_keyvals(manifest_path))
-    for key in ("blocks", "coupled", "ranks"):
+
+    def entry(key, parse=str):
         if key not in pairs:
             raise _bad(manifest_path, f"missing '{key}:' line")
-    n_blocks = int(pairs["blocks"])
-    coupled = [int(c) for c in pairs["coupled"].split()]
-    ranks = [int(r) for r in pairs["ranks"].split()]
-    tensors = []
-    for s in range(n_blocks):
-        key = f"tensor {s}"
-        if key not in pairs:
-            raise _bad(manifest_path, f"missing '{key}:' line")
-        tensors.append(load_tensor(base / pairs[key]))
+        try:
+            return parse(pairs[key])
+        except ValueError as exc:
+            raise _bad(manifest_path, f"{key}: {exc}") from None
+
+    def ints(text):
+        return [int(v) for v in text.split()]
+
+    n_blocks = entry("blocks", int)
+    coupled = entry("coupled", ints)
+    ranks = entry("ranks", ints)
+    tensors = [load_tensor(base / entry(f"tensor {s}")) for s in range(n_blocks)]
     truth = None
     if "truth 0" in pairs:
-        blocks = [load_model(base / pairs[f"truth {s}"]) for s in range(n_blocks)]
+        blocks = [load_model(base / entry(f"truth {s}")) for s in range(n_blocks)]
         truth = CoupledFactorSet(blocks, coupled)
         truth.validate()
     problem = CoupledProblem(tensors, ranks, coupled, mode=mode,
@@ -235,27 +267,15 @@ def load_coupled(manifest_path, mode="full", update_core=True):
 
 def save_trace(path, trace):
     """Write solver trace rows as CSV (``iter,objfun,relerr,elapsed_s``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for row in trace:
-            writer.writerow([row.iteration, _fmt(row.obj_fun),
-                             _fmt(row.rel_err), _fmt(row.elapsed_s)])
-    return Path(path)
+    return _save_csv(path, TRACE_FIELDS, (
+        [row.iteration, _fmt(row.obj_fun), _fmt(row.rel_err), _fmt(row.elapsed_s)]
+        for row in trace))
 
 
 def load_trace(path):
     """Read a trace CSV back into a list of :class:`TraceRow`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_FIELDS:
-            raise _bad(path, f"unexpected trace header {header}")
-        try:
-            return [TraceRow(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-                    for r in reader if r]
-        except (ValueError, IndexError) as exc:
-            raise _bad(path, f"malformed trace row: {exc}") from None
+    return _load_csv(path, TRACE_FIELDS, lambda r: TraceRow(
+        int(r[0]), float(r[1]), float(r[2]), float(r[3])))
 
 
 # --------------------------------------------------------------------------
@@ -263,38 +283,29 @@ def load_trace(path):
 
 def save_bench(path, rows):
     """Write benchmark rows, dicts keyed by :data:`BENCH_FIELDS`, as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_FIELDS)
-        for row in rows:
-            writer.writerow([
-                row["n"], row["variant"], row["repeat"],
-                _fmt(row["pi"]), _fmt(row["tenfit"]),
-                _fmt(row["time_s"]), _fmt(row["objfun"]),
-            ])
-    return Path(path)
+    return _save_csv(path, BENCH_FIELDS, (
+        [row["n"], row["variant"], row["repeat"]]
+        + [_fmt(row[f]) for f in BENCH_FIELDS[3:]] for row in rows))
 
 
 def load_bench(path):
-    """Read a bench CSV back as rows with typed values, skipping ``#`` lines."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or tuple(header) != BENCH_FIELDS:
-            raise _bad(path, f"unexpected bench header {header}")
-        rows = []
-        try:
-            for r in reader:
-                if not r:
-                    continue
-                rows.append({
-                    "n": int(r[0]), "variant": r[1], "repeat": int(r[2]),
-                    "pi": float(r[3]), "tenfit": float(r[4]),
-                    "time_s": float(r[5]), "objfun": float(r[6]),
-                })
-        except (ValueError, IndexError) as exc:
-            raise _bad(path, f"malformed bench row: {exc}") from None
-    return rows
+    """Read a bench CSV back as rows with typed values."""
+    return _load_csv(path, BENCH_FIELDS, lambda r: {
+        "n": int(r[0]), "variant": r[1], "repeat": int(r[2]),
+        "pi": float(r[3]), "tenfit": float(r[4]),
+        "time_s": float(r[5]), "objfun": float(r[6]),
+    })
+
+
+def save_bench_mean(path, rows):
+    """Mean of bench ``rows`` over repeats per (size, variant), first-seen order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row["n"], row["variant"]), []).append(row)
+    return _save_csv(path, ("n", "variant", "repeats") + BENCH_FIELDS[3:], (
+        [n, variant, len(group)]
+        + [_fmt(np.mean([r[f] for r in group])) for f in BENCH_FIELDS[3:]]
+        for (n, variant), group in groups.items()))
 
 
 # --------------------------------------------------------------------------
@@ -366,11 +377,7 @@ def report_csv_row(report):
 
 
 def save_report_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        writer.writerow(report_csv_row(report))
-    return Path(path)
+    return _save_csv(path, REPORT_FIELDS, [report_csv_row(report)])
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from concpd.fileio import (
     load_trace,
 )
 from concpd.kruskal import reconstruct
+from concpd.solver import SolverOptions
+from concpd.synth import SynthSpec
 
 
 def run(*argv):
@@ -159,6 +161,47 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     config.write_text("cleverness: 11\n")
     assert run("solve", "--config", config, "--out", tmp_path / "s") == 1
     assert "cleverness" in capsys.readouterr().err
+
+
+def test_config_value_error_names_file_and_key(tmp_path, capsys):
+    config = tmp_path / "settings.txt"
+    config.write_text("max-iter: abc\n")
+    assert run("solve", "--config", config, "--out", tmp_path / "s") == 1
+    assert f"{config}: max-iter:" in capsys.readouterr().err
+
+
+def test_resolved_settings_pin_the_cli_surface(tmp_path):
+    # each subcommand run with as few flags as it takes: config.resolved
+    # lists the same keys as ever, and the defaults that mirror the
+    # library read as SolverOptions() and SynthSpec() fields
+    manifest = generate_small(tmp_path / "p")
+    runs = {
+        "generate": (),
+        "solve": ("--problem", manifest),
+        "eval": ("--problem", manifest, "--factors", tmp_path / "solve"),
+        "bench": ("--sizes", 1, "--variants", "full", "--repeats", 1),
+    }
+    keys = {
+        "generate": "blocks coupled dims n out rank seed snr-db",
+        "solve": "delta-w max-iter mode no-core out problem seed tol trace-every",
+        "eval": "factors out problem",
+        "bench": "blas-threads blocks coupled delta-w dims max-iter out rank "
+                 "repeats seed sizes snr-db tol variants",
+    }
+    spec, opts = SynthSpec(), SolverOptions()
+    library = {"n": spec.size_factor, "blocks": spec.n_blocks,
+               "snr-db": spec.snr_db, "seed": opts.seed,
+               "max-iter": opts.max_iter, "tol": opts.tol,
+               "delta-w": opts.delta_w, "trace-every": opts.trace_every}
+    assert spec.seed == opts.seed
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert run(command, *extra, "--out", out) == 0, command
+        settings = dict(load_keyvals(out / "config.resolved"))
+        assert settings.pop("subcommand") == command
+        assert sorted(settings) == keys[command].split(), command
+        for key in settings.keys() & library.keys():
+            assert float(settings[key]) == library[key], (command, key)
 
 
 def test_solve_missing_problem_fails_with_path(tmp_path, capsys):

@@ -213,6 +213,24 @@ def test_manifest_missing_lines_rejected(tmp_path):
         load_coupled(manifest)
 
 
+def test_manifest_bad_entries_name_manifest_and_key(tmp_path):
+    problem, truth = generate(SynthSpec(n_blocks=2, size_factor=1, seed=3))
+    manifest = save_coupled(tmp_path, problem, truth)
+    text = manifest.read_text()
+
+    manifest.write_text(text.replace("truth 1:", "# truth 1:"))
+    with pytest.raises(ValueError, match="manifest.txt: missing 'truth 1:'"):
+        load_coupled(manifest)
+
+    manifest.write_text(text.replace("blocks: 2", "blocks: two"))
+    with pytest.raises(ValueError, match="manifest.txt: blocks: .*'two'"):
+        load_coupled(manifest)
+
+    manifest.write_text(text.replace("ranks: 5 5", "ranks: 5 five"))
+    with pytest.raises(ValueError, match="manifest.txt: ranks: .*'five'"):
+        load_coupled(manifest)
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 
@@ -227,6 +245,9 @@ def test_trace_round_trip(tmp_path):
     save_trace(path, trace)
     assert load_trace(path) == trace
     assert path.read_text().splitlines()[0] == "iter,objfun,relerr,elapsed_s"
+    # the reader skips comment and blank lines, as the bench reader does
+    path.write_text("# solver trace\n" + path.read_text() + "\n")
+    assert load_trace(path) == trace
 
 
 def test_trace_rejects_wrong_header(tmp_path):
