@@ -257,7 +257,6 @@ def _save_report(out_dir, report):
     fileio.save_report(out / "metrics.txt", report)
     fileio.save_report_csv(out / "metrics.csv", report)
     sys.stdout.write(fileio.format_report(report))
-    return 0
 
 
 def cmd_solve(settings):
@@ -276,7 +275,8 @@ def cmd_solve(settings):
     for s, block in enumerate(result.factors.blocks):
         fileio.save_model(out / f"model_{s:02d}.kt", block)
     fileio.save_trace(out / "trace.csv", result.trace)
-    return _save_report(out, _run_report(truth, result))
+    _save_report(out, _run_report(truth, result))
+    return 0
 
 
 def cmd_bench(settings):
@@ -349,7 +349,8 @@ def cmd_eval(settings):
     report = MetricReport(rel_err=err, ten_fit=1.0 - err, obj_fun=obj,
                           pi_per_mode=pi,
                           elapsed_seconds=time.perf_counter() - start)
-    return _save_report(settings["out"], report)
+    _save_report(settings["out"], report)
+    return 0
 
 
 # --------------------------------------------------------------------------
