@@ -260,10 +260,9 @@ def _save_report(out_dir, report):
 
 
 def cmd_solve(settings):
-    problem, truth = fileio.load_coupled(
-        settings["problem"], mode=settings["mode"],
-        update_core=not settings["no_core"],
-    )
+    data, truth = fileio.load_coupled(settings["problem"])
+    problem = CoupledProblem(data.tensors, data.ranks, data.coupled_counts,
+                             mode=settings["mode"], update_core=not settings["no_core"])
     opts = SolverOptions(
         max_iter=settings["max_iter"], tol=settings["tol"],
         delta_w=settings["delta_w"], seed=settings["seed"],

@@ -19,21 +19,13 @@ __all__ = ["AlsOptions", "AlsResult", "cpd_als"]
 
 @dataclass
 class AlsOptions:
-    """Settings for :func:`cpd_als`.
+    """Settings for :func:`cpd_als`."""
 
-    ``rank=None`` is allowed as a placeholder meaning "decide at the call
-    site" (the coupled solver substitutes each block's target rank); it must
-    be resolved to a positive integer before calling :func:`cpd_als`.
-    """
-
-    rank: int = None
     tol: float = 1e-4
     max_iter: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
@@ -49,8 +41,8 @@ class AlsResult:
     converged: bool = False
 
 
-def cpd_als(t, opts):
-    """Fit an unconstrained rank-``opts.rank`` CP model to ``t``.
+def cpd_als(t, rank, opts=None):
+    """Fit an unconstrained rank-``rank`` CP model to ``t``.
 
     Each mode solve is the exact least-squares minimizer (with a tiny ridge
     guarding rank-deficient iterates), so the residual norm is non-increasing
@@ -69,15 +61,16 @@ def cpd_als(t, opts):
     reconstruction instead; the reported history is therefore reliable even
     at near-exact fits.
 
-    Raises ``ValueError`` for an infeasible rank (normal equations taller
-    than the data allow), non-finite input, or divergence.
+    Raises ``ValueError`` for a rank below 1 or infeasible (normal equations
+    taller than the data allow), non-finite input, or divergence.
     """
+    opts = opts if opts is not None else AlsOptions()
     t = np.ascontiguousarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite values")
-    if opts.rank is None:
-        raise ValueError("AlsOptions.rank was not resolved to an integer")
-    rank = int(opts.rank)
+    rank = int(rank)
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     dims = t.shape
     for n in range(t.ndim):
         other = t.size // dims[n]

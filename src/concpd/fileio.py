@@ -197,12 +197,12 @@ def load_model(path):
 # --------------------------------------------------------------------------
 # coupled sets (tensors + manifest [+ truth models])
 
-def save_coupled(out_dir, problem, truth=None, manifest_name="manifest.txt"):
+def save_coupled(out_dir, problem, truth=None):
     """Write a coupled problem (and optional ground truth) into ``out_dir``.
 
     Produces ``block_XX.dtt`` per tensor, ``truth_XX.kt`` per ground-truth
-    model when ``truth`` is given, and a manifest naming them all.  Returns
-    the manifest path.
+    model when ``truth`` is given, and ``manifest.txt`` naming them all.
+    Returns the manifest path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,17 +220,17 @@ def save_coupled(out_dir, problem, truth=None, manifest_name="manifest.txt"):
             name = f"truth_{s:02d}.kt"
             save_model(out_dir / name, block)
             pairs.append((f"truth {s}", name))
-    manifest = out_dir / manifest_name
+    manifest = out_dir / "manifest.txt"
     save_keyvals(manifest, pairs)
     return manifest
 
 
-def load_coupled(manifest_path, mode="full", update_core=True):
+def load_coupled(manifest_path):
     """Read a manifest back into ``(CoupledProblem, truth-or-None)``.
 
-    File names in the manifest are resolved relative to its directory.
-    ``mode`` / ``update_core`` are solver settings, not stored data, so the
-    caller picks them here.
+    File names in the manifest are resolved relative to its directory.  The
+    problem carries the stored data only, so its solver settings (``mode``,
+    ``update_core``, ``als_options``) are the defaults.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -256,8 +256,7 @@ def load_coupled(manifest_path, mode="full", update_core=True):
         blocks = [load_model(base / entry(f"truth {s}")) for s in range(n_blocks)]
         truth = CoupledFactorSet(blocks, coupled)
         truth.validate()
-    problem = CoupledProblem(tensors, ranks, coupled, mode=mode,
-                             update_core=update_core)
+    problem = CoupledProblem(tensors, ranks, coupled)
     problem.validate()
     return problem, truth
 

@@ -83,8 +83,9 @@ class CoupledFactorSet:
     def order(self):
         return self.blocks[0].order
 
-    def validate(self, atol=0.0):
-        """Check coupling invariants, raising with the offending mode/block."""
+    def validate(self):
+        """Check coupling invariants, raising with the offending mode/block;
+        shared columns must agree bit for bit."""
         min_rank = min(b.rank for b in self.blocks)
         for n, count in enumerate(self.coupled_counts):
             if not 0 <= count <= min_rank:
@@ -101,7 +102,7 @@ class CoupledFactorSet:
                         f"mode {n} is coupled but block {s} has {fac.shape[0]} rows "
                         f"vs {ref.shape[0]} in block 0"
                     )
-                if not np.allclose(fac[:, :count], ref, rtol=0.0, atol=atol):
+                if not np.array_equal(fac[:, :count], ref):
                     raise ValueError(
                         f"common columns differ in mode {n} between block 0 and block {s}"
                     )

@@ -65,7 +65,7 @@ memory.  The escape draws no random numbers.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,9 +124,8 @@ class CoupledProblem:
         ``False`` selects the fixed-core variant: the weight vectors stay at
         their all-ones initialization and only factors are optimized.
     als_options : AlsOptions, optional
-        Compression settings for ``mode="lra"``; ``rank=None`` means "match
-        the block's target rank", and the per-block ALS seed is
-        ``als_options.seed + s``.
+        Compression settings for ``mode="lra"``.  Each block is compressed
+        at its own target rank, with ALS seed ``als_options.seed + s``.
     """
 
     tensors: list
@@ -451,8 +450,7 @@ class _Apg:
         start = init_factors(problem, opts.seed).blocks
         members = {}
         for s, blk in enumerate(start):
-            key = (blk.dims, blk.rank, None if tilde is None else tilde[s].rank)
-            members.setdefault(key, []).append(s)
+            members.setdefault((blk.dims, blk.rank), []).append(s)
         # block 0 is row 0 of the first group
         self.groups = [_Group(idx, start, tilde) for idx in members.values()]
         self.curr = [None] * self.S
@@ -855,14 +853,9 @@ def solve(problem, opts=None):
         tic = time.perf_counter()
         tilde = []
         for s, (tensor, rank) in enumerate(zip(problem.tensors, problem.ranks)):
-            als = AlsOptions(
-                rank=base.rank if base.rank is not None else rank,
-                tol=base.tol,
-                max_iter=base.max_iter,
-                seed=base.seed + s,
-            )
+            als = replace(base, seed=base.seed + s)
             try:
-                tilde.append(cpd_als(tensor, als).model)
+                tilde.append(cpd_als(tensor, rank, als).model)
             except ValueError as exc:
                 raise ValueError(f"compression of block {s} failed: {exc}") from exc
         compress_seconds = time.perf_counter() - tic

@@ -16,7 +16,7 @@ from concpd.fileio import (
     load_trace,
 )
 from concpd.kruskal import reconstruct
-from concpd.solver import SolverOptions
+from concpd.solver import CoupledProblem, SolverOptions, solve
 from concpd.synth import SynthSpec
 
 
@@ -129,6 +129,24 @@ def test_solve_lra_trace_well_formed(tmp_path):
     assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
     settings = dict(load_keyvals(out / "config.resolved"))
     assert settings["mode"] == "lra"
+
+
+def test_solve_applies_mode_and_no_core_to_a_stored_problem(tmp_path):
+    manifest = generate_small(tmp_path / "p")
+    out = tmp_path / "lra-nc"
+    assert run("solve", "--problem", manifest, "--out", out, "--mode", "lra",
+               "--no-core", "--max-iter", 30) == 0
+    data, _ = load_coupled(manifest)
+    want = solve(CoupledProblem(data.tensors, data.ranks, data.coupled_counts,
+                                mode="lra", update_core=False),
+                 SolverOptions(max_iter=30))
+    for s, block in enumerate(want.factors.blocks):
+        got = load_model(out / f"model_{s:02d}.kt")
+        assert (got.weights == 1.0).all()
+        for g, w in zip(got.factors, block.factors):
+            assert (g == w).all()
+    assert [row.rel_err for row in load_trace(out / "trace.csv")] == \
+        [row.rel_err for row in want.trace]
 
 
 def test_solve_config_file_round_trip(tmp_path):

