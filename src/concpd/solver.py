@@ -36,8 +36,10 @@ Two evaluation modes:
   products of small cross-gram matrices, so per-iteration cost scales with
   the sum of dimensions instead of their product.  Reported trace
   quantities (objective, relative error) still refer to the original
-  tensors, as does the stopping rule; the restart safeguard governs the
-  compressed objective, which is what the iteration actually minimizes.
+  tensors.  The stopping rule fires when that relative error or the
+  compressed models' (``sqrt(res~) / ||M~||`` averaged over blocks) stalls.
+  The restart safeguard governs the compressed objective, which is what
+  the iteration actually minimizes.
   That objective comes from the gram expansion, whose rounding error is
   bounded by the same expansion over absolute values (``|U~|^T U`` per mode
   update, ``|U~|^T |U~|`` once).  The expansion plus that bound, an upper
@@ -383,6 +385,13 @@ def _quad(x, mats, y):
     return np.einsum("sr,srq,sq->s", x, mats, y)
 
 
+def _mean_rel(res, norm_sq):
+    """Mean over blocks of ``sqrt(res_s / norm_sq_s)``; a zero-norm block counts 0."""
+    norm = np.sqrt(norm_sq)
+    rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
+    return float(rel.sum()) / len(res)
+
+
 class _Group:
     """Blocks ``idx`` of one shape and rank: current and previous factors
     ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, and per mode
@@ -584,10 +593,12 @@ class _Apg:
     def _evaluate(self, bound=-np.inf, mtt=None):
         """Objective and relative error at the current iterate.
 
-        Returns ``(obj_internal, obj_original, rel_err, staged)``, where
-        ``staged`` holds the next iteration's core linear terms (full mode),
-        from ``mtt``, the MTTKRPs returned by the sweep that made this
-        iterate, or else from :func:`core_linear_term`.
+        Returns ``(obj_internal, obj_original, rel_internal, rel_err,
+        staged)``: ``rel_internal`` is ``rel_err`` in full mode, and in lra
+        mode the mean ``sqrt(res~) / ||M~||`` of the residuals behind
+        ``obj_internal``; ``staged`` holds the next iteration's core linear
+        terms (full mode), from ``mtt``, the MTTKRPs returned by the sweep
+        that made this iterate, or else from :func:`core_linear_term`.
         The internal objective is evaluated so that its error stays far
         below the true per-iteration decrease.  In full mode the gram
         expansion is kept only if no block's residual is small and the total
@@ -639,9 +650,9 @@ class _Apg:
                 f"block {bad[0]} produced a non-finite objective "
                 f"at iteration {self._iter_tag}"
             )
-        norm = np.sqrt(self.norm_sq)
-        rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
-        return obj_int, obj_orig, float(rel.sum()) / self.S, staged
+        rel = _mean_rel(res, self.norm_sq)
+        rel_int = rel if self.tilde is None else _mean_rel(res_t, tilde_sq)
+        return obj_int, obj_orig, rel_int, rel, staged
 
     # -- one iteration with restart ------------------------------------------
 
@@ -690,12 +701,12 @@ class _Apg:
         self.t_k = 1.0
         for g in self.groups:
             g.lip_core, g.lip_fac = None, [None] * self.N
-        self.b = self._evaluate()[3]
+        self.b = self._evaluate()[4]
         for _ in range(ESCAPE_SWEEPS):
             step = self._evaluate(obj_last, self._sweep(0.0))
             if step[0] < obj_last:
                 return step
-            self.b = step[3]
+            self.b = step[4]
         self._load(saved)
         return None
 
@@ -838,10 +849,11 @@ def solve(problem, opts=None):
     """Run the coupled decomposition; see the module docstring.
 
     Stops when the original-tensor relative error changes by less than
-    ``opts.tol`` between iterations ("tolerance") or after
-    ``opts.max_iter`` iterations ("max_iterations").  Before stopping by
-    tolerance with iterations left, it tries one escape from a dead shared
-    slot and carries on if the escape is kept.
+    ``opts.tol`` between iterations ("tolerance"), in lra mode also when
+    the compressed-model relative error does, or after ``opts.max_iter``
+    iterations ("max_iterations").  Before stopping by tolerance with
+    iterations left, it tries one escape from a dead shared slot and
+    carries on if the escape is kept.
     """
     opts = opts if opts is not None else SolverOptions()
     problem.validate()
@@ -853,9 +865,8 @@ def solve(problem, opts=None):
         tic = time.perf_counter()
         tilde = []
         for s, (tensor, rank) in enumerate(zip(problem.tensors, problem.ranks)):
-            als = replace(base, seed=base.seed + s)
             try:
-                tilde.append(cpd_als(tensor, rank, als).model)
+                tilde.append(cpd_als(tensor, rank, replace(base, seed=base.seed + s)).model)
             except ValueError as exc:
                 raise ValueError(f"compression of block {s} failed: {exc}") from exc
         compress_seconds = time.perf_counter() - tic
@@ -863,7 +874,7 @@ def solve(problem, opts=None):
     state = _Apg(problem, opts, tilde)
     t0 = time.perf_counter()
 
-    obj_int, obj_orig, rel_err, staged = state._evaluate()
+    obj_int, obj_orig, rel_int, rel_err, staged = state._evaluate()
     state.b = staged
     obj_history = [obj_int]
     rel_history = [rel_err]
@@ -884,18 +895,18 @@ def solve(problem, opts=None):
             state.n_escapes += 1
         else:
             step = state._step(obj_history[-1])
-        obj_int, obj_orig, new_rel, state.b = step
+        obj_int, obj_orig, new_int, new_rel, state.b = step
         obj_history.append(obj_int)
         rel_history.append(new_rel)
         n_done = k
         row = TraceRow(k, obj_orig, new_rel, time.perf_counter() - t0)
         if k % opts.trace_every == 0:
             trace.append(row)
-        stalled = abs(new_rel - rel_err) < opts.tol
+        stalled = abs(new_rel - rel_err) < opts.tol or abs(new_int - rel_int) < opts.tol
         if stalled and (k == opts.max_iter or not state.can_escape):
             termination = "tolerance"
             break
-        rel_err = new_rel
+        rel_err, rel_int = new_rel, new_int
     if trace[-1] is not row:
         trace.append(row)
 
