@@ -40,6 +40,9 @@ from .synth import SynthSpec, generate
 
 __all__ = ["main", "limit_blas_threads"]
 
+# block s's model file: ``solve`` writes it, ``eval`` reads it
+_MODEL_FILE = "model_{:02d}.kt"
+
 # variant tag -> (problem mode, update the core weights?)
 VARIANTS = {
     "full": ("full", True),
@@ -272,7 +275,7 @@ def cmd_solve(settings):
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     for s, block in enumerate(result.factors.blocks):
-        fileio.save_model(out / f"model_{s:02d}.kt", block)
+        fileio.save_model(out / _MODEL_FILE.format(s), block)
     fileio.save_trace(out / "trace.csv", result.trace)
     _save_report(out, _run_report(truth, result))
     return 0
@@ -333,13 +336,13 @@ def cmd_bench(settings):
 
 def cmd_eval(settings):
     problem, truth = fileio.load_coupled(settings["problem"])
-    model_paths = sorted(Path(settings["factors"]).glob("model_*.kt"))
-    if len(model_paths) != len(problem.tensors):
-        raise ValueError(
-            f"{settings['factors']}: found {len(model_paths)} model files "
-            f"for {len(problem.tensors)} blocks"
-        )
-    blocks = [fileio.load_model(p) for p in model_paths]
+    factors = Path(settings["factors"])
+    found = len(list(factors.glob("model_*.kt")))
+    if found != problem.n_blocks:
+        raise ValueError(f"{settings['factors']}: found {found} model files "
+                         f"for {problem.n_blocks} blocks")
+    blocks = [fileio.load_model(factors / _MODEL_FILE.format(s))
+              for s in range(problem.n_blocks)]
     estimated = CoupledFactorSet(blocks, problem.coupled_counts)
     start = time.perf_counter()
     err = rel_err(problem.tensors, [reconstruct(b) for b in blocks])

@@ -248,11 +248,21 @@ def test_eval_of_truth_factors_is_perfect(tmp_path):
     assert max(report.pi_per_mode) < 1e-10
 
 
-def test_eval_matches_solve_metrics(tmp_path):
-    manifest = generate_small(tmp_path / "p")
+@pytest.mark.parametrize("shape, max_iter", [
+    ((), 40),
+    # from 101 blocks on, model file names no longer sort in block order
+    (("--blocks", 101, "--dims", 3, 3, 3, "--rank", 2, "--coupled", 1, 1, 1,
+      "--seed", 3), 5),
+], ids=["small", "101-blocks"])
+def test_eval_matches_solve_metrics(tmp_path, shape, max_iter):
+    if shape:
+        assert run("generate", *shape, "--out", tmp_path / "p") == 0
+        manifest = tmp_path / "p" / "manifest.txt"
+    else:
+        manifest = generate_small(tmp_path / "p")
     sdir = tmp_path / "s"
     assert run("solve", "--problem", manifest, "--out", sdir,
-               "--max-iter", 40) == 0
+               "--max-iter", max_iter) == 0
     edir = tmp_path / "e"
     assert run("eval", "--problem", manifest, "--factors", sdir,
                "--out", edir) == 0
