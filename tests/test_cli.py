@@ -248,18 +248,7 @@ def test_eval_of_truth_factors_is_perfect(tmp_path):
     assert max(report.pi_per_mode) < 1e-10
 
 
-@pytest.mark.parametrize("shape, max_iter", [
-    ((), 40),
-    # from 101 blocks on, model file names no longer sort in block order
-    (("--blocks", 101, "--dims", 3, 3, 3, "--rank", 2, "--coupled", 1, 1, 1,
-      "--seed", 3), 5),
-], ids=["small", "101-blocks"])
-def test_eval_matches_solve_metrics(tmp_path, shape, max_iter):
-    if shape:
-        assert run("generate", *shape, "--out", tmp_path / "p") == 0
-        manifest = tmp_path / "p" / "manifest.txt"
-    else:
-        manifest = generate_small(tmp_path / "p")
+def assert_eval_matches_solve(tmp_path, manifest, max_iter):
     sdir = tmp_path / "s"
     assert run("solve", "--problem", manifest, "--out", sdir,
                "--max-iter", max_iter) == 0
@@ -271,6 +260,18 @@ def test_eval_matches_solve_metrics(tmp_path, shape, max_iter):
     assert scored.rel_err == pytest.approx(solved.rel_err, rel=1e-9)
     assert scored.obj_fun == pytest.approx(solved.obj_fun, rel=1e-9)
     assert scored.pi_per_mode == pytest.approx(solved.pi_per_mode, rel=1e-9)
+
+
+def test_eval_matches_solve_metrics(tmp_path):
+    manifest = generate_small(tmp_path / "p")
+    assert_eval_matches_solve(tmp_path, manifest, 40)
+
+
+def test_eval_matches_solve_metrics_past_100_blocks(tmp_path):
+    # from 101 blocks on, model file names no longer sort in block order
+    assert run("generate", "--blocks", 101, "--dims", 3, 3, 3, "--rank", 2,
+               "--coupled", 1, 1, 1, "--seed", 3, "--out", tmp_path / "p") == 0
+    assert_eval_matches_solve(tmp_path, tmp_path / "p" / "manifest.txt", 5)
 
 
 def test_eval_wrong_model_count_fails(tmp_path, capsys):
