@@ -17,36 +17,38 @@ shared columns are one slice, stepped along the gradient summed over the
 block axis of every group.  Blocks of other dims or ranks form further
 groups, a lone block a group of one; there is no per-block iteration.
 
-Two evaluation modes:
+The two modes differ only in the data the iteration fits, and so in where
+its linear terms come from.  Both score an iterate by one gram expansion,
+``||M||^2 - 2 lam^T b + lam^T G lam``, of the fitted data ``M``, with ``G``
+the cached gram product and ``b = (U_kr)^T vec(M)`` the core linear term,
+staged per group for the next core update.
 
-* ``full`` — gradients use the raw tensors through
+* ``full`` fits the raw tensors.  Gradients use
   :func:`concpd.tensor_ops.mttkrp` on their C-order views, with no
   Khatri-Rao product: per block and sweep, one GEMM against the last
   factor for the first mode, and one GEMM for the partial product of the
   first factor, rewritten in one buffer per block, that the other modes
-  contract with small factor matrices.  The objective comes from the gram
-  expansion ``||M||^2 - 2 lam^T b + lam^T G lam``, where ``b`` is the last
-  mode's contraction (exact at the new iterate) and ``G`` the cached gram
-  product; it is formed from the explicit residual instead where that is small
-  (below ``1e-3 ||M||^2``) and wherever the expanded value is not strictly
-  below the last recorded objective, so every restart decision and every
-  value recorded after a restart is computed explicitly.
-* ``lra`` — each tensor is first compressed by unconstrained ALS
-  (:func:`concpd.cpd_als.cpd_als`); gradient linear terms then reduce to
-  products of small cross-gram matrices, so per-iteration cost scales with
-  the sum of dimensions instead of their product.  Reported trace
-  quantities (objective, relative error) still refer to the original
-  tensors.  The stopping rule fires when that relative error or the
-  compressed models' (``sqrt(res~) / ||M~||`` averaged over blocks) stalls.
-  The restart safeguard governs the compressed objective, which is what
-  the iteration actually minimizes.
-  That objective comes from the gram expansion, whose rounding error is
-  bounded by the same expansion over absolute values (``|U~|^T U`` per mode
-  update, ``|U~|^T |U~|`` once).  The expansion plus that bound, an upper
-  bound of the true value, is kept when it lies strictly below the last
-  recorded objective.  Otherwise, as at the start and after a restart, the
-  expansion is used as is, and a stable QR route wherever the compressed
-  residual is below ``1e-3 ||M~||^2``.
+  contract with small factor matrices.  ``b`` is the last mode's
+  contraction, exact at the new iterate.  The objective is formed from the
+  explicit residual instead where that is small (below ``1e-3 ||M||^2``)
+  and wherever the expanded value is not strictly below the last recorded
+  objective, so every restart decision and every value recorded after a
+  restart is computed explicitly.
+* ``lra`` fits compressed models ``M~``, each tensor's unconstrained ALS
+  fit (:func:`concpd.cpd_als.cpd_als`).  Linear terms reduce to products
+  of small cross-gram matrices, so per-iteration cost scales with the sum
+  of dimensions instead of their product.  The expansion's rounding error
+  is bounded by the same expansion over absolute values (``|U~|^T U`` per
+  mode update, ``|U~|^T |U~|`` once).  The expansion plus that bound, an
+  upper bound of the true value, is kept when it lies strictly below the
+  last recorded objective.  Otherwise, as at the start and after a
+  restart, the expansion is used as is, and a stable QR route wherever the
+  compressed residual is below ``1e-3 ||M~||^2``.  A separate report reads
+  the raw tensors once per recorded iterate, by the same expansion, for the
+  trace's objective and relative error; evaluations that a restart rejects
+  and escape sweeps never touch them.  The stopping rule fires when that
+  relative error or the compressed models' (``sqrt(res~) / ||M~||``
+  averaged over blocks) stalls.
 
 Escape from a dead shared slot.  The iteration can stall at a point where a
 shared slot's core weight is exactly 0 in some block with a strictly
@@ -217,12 +219,12 @@ class TraceRow:
 class SolveResult:
     """Outcome of :func:`solve`.
 
-    ``trace`` rows report the objective and relative error against the
-    original tensors.  ``objective_history`` records, for every accepted
-    iteration (entry 0 is the initialization), the objective the solver
-    actually minimizes — identical to the trace objective in full mode,
-    the compressed-tensor objective in lra mode — and is the quantity the
-    restart rule keeps non-increasing.
+    ``trace`` rows and ``rel_err_history`` report the objective and
+    relative error against the original tensors.  ``objective_history``
+    records, for every accepted iteration (entry 0 is the initialization),
+    the objective of the data the iteration fits — the original tensors in
+    full mode, where it equals the trace objective, the compressed models
+    in lra mode — and is the quantity the restart rule keeps non-increasing.
 
     ``n_restarts`` counts iterations redone without extrapolation;
     ``n_escapes`` counts kept escapes from a dead shared slot (see the
@@ -362,10 +364,7 @@ def init_factors(problem, seed):
             # uncoupled modes may differ in size between blocks, so the
             # zero-width common slab cannot be stacked against them
             facs.append(np.hstack([common[n], ind]) if counts[n] else ind)
-        if problem.update_core:
-            lam = rng.random(rank)
-        else:
-            lam = np.ones(rank)
+        lam = rng.random(rank) if problem.update_core else np.ones(rank)
         blocks.append(KruskalTensor(facs, lam))
     return CoupledFactorSet(blocks, list(counts))
 
@@ -394,13 +393,14 @@ def _mean_rel(res, norm_sq):
 
 class _Group:
     """Blocks ``idx`` of one shape and rank: current and previous factors
-    ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, and per mode
-    the grams ``(N, S, R, R)``.  In lra mode ``cross`` stacks ``U~_n^T U_n``
-    over ``|U~_n|^T U_n``, ``(N, S, 2 R~, R)``: one product over modes gives
-    the cross-gram product and the bound on the expansion's rounding error.
+    ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, per mode the
+    grams ``(N, S, R, R)``, and ``data_sq``, the fitted data's ``||M||^2``.
+    In lra mode ``cross`` stacks ``U~_n^T U_n`` over ``|U~_n|^T U_n``,
+    ``(N, S, 2 R~, R)``: one product over modes gives the cross-gram product
+    and the bound on the expansion's rounding error.
     """
 
-    def __init__(self, idx, blocks, tilde):
+    def __init__(self, idx, blocks, tilde, norm_sq):
         self.idx = idx
         order = blocks[idx[0]].order
         self.u = [np.stack([blocks[s].factors[n] for s in idx]) for n in range(order)]
@@ -410,6 +410,7 @@ class _Group:
         size, rank = self.lam.shape
         self.gram = np.empty((order, size, rank, rank))
         self.lip_core, self.lip_fac = None, [None] * order
+        self.data_sq = norm_sq[idx]
         self.tilde_t = None
         if tilde is not None:
             facs = [np.stack([tilde[s].factors[n] for s in idx]) for n in range(order)]
@@ -421,7 +422,7 @@ class _Group:
             self.cross = np.empty((order, size, 2 * self.rt, rank))
             grams = [np.prod([f.transpose(0, 2, 1) @ f for f in fs], axis=0)
                      for fs in (facs, [np.abs(f) for f in facs])]
-            self.tilde_sq = _quad(self.mu, grams[0], self.mu)
+            self.data_sq = _quad(self.mu, grams[0], self.mu)
             self.tilde_abs_sq = _quad(np.abs(self.mu), grams[1], np.abs(self.mu))
             # no term of the expansion passes through more roundings than
             # this (gram sums, Hadamard and quadratic-form products and sums,
@@ -456,28 +457,26 @@ class _Apg:
         self.counts = problem.coupled_counts
         self._others = [[m for m in range(self.N) if m != n] for n in range(self.N)]
 
+        self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
         start = init_factors(problem, opts.seed).blocks
         members = {}
         for s, blk in enumerate(start):
             members.setdefault((blk.dims, blk.rank), []).append(s)
         # block 0 is row 0 of the first group
-        self.groups = [_Group(idx, start, tilde) for idx in members.values()]
+        self.groups = [_Group(idx, start, tilde, self.norm_sq) for idx in members.values()]
         self.curr = [None] * self.S
         for g in self.groups:
             for j, s in enumerate(g.idx):
                 self.curr[s] = KruskalTensor([u[j] for u in g.u], g.lam[j])
 
-        self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
-        # full-mode core linear terms (U_kr)^T vec(M), staged at iteration end
-        self.b = [None] * self.S
+        # per group, the core linear terms of the last accepted iterate
+        self.b = None
         # full mode: per block, the buffer of the partial product that every
         # sweep rewrites in place at mode 1
         self._workspace = [None] * self.S
         self._iter_tag = 0
 
-        self.t_k = 1.0
-        self.n_restarts = 0
-        self.n_escapes = 0
+        self.t_k, self.n_restarts, self.n_escapes = 1.0, 0, 0
         # escapes swap slots between shared and individual columns, which
         # needs a core to carry scale and a slot shared by two or more blocks
         self.can_escape = problem.update_core and self.S > 1 and max(self.counts) > 0
@@ -485,17 +484,13 @@ class _Apg:
     # -- block updates -----------------------------------------------------
 
     def _update_cores(self, w_hat):
-        for g in self.groups:
+        for g, linear in zip(self.groups, self.b):
             gram_all = g.gram.prod(axis=0)
             ld = spectral_norm(gram_all)
             ld_prev = ld if g.lip_core is None else g.lip_core
             g.lip_core = ld
             w = extrapolation_weight(w_hat, ld_prev, ld, self.o.delta_w)
             lam_hat = g.lam + w[:, None] * (g.lam - g.lam_prev)
-            if self.tilde is None:
-                linear = np.stack([self.b[s] for s in g.idx])
-            else:
-                linear = core_linear_term_lra(g.mu, g.cross[:, :, :g.rt])
             grad = core_gradient(gram_all, lam_hat, linear)
             # a zero bound means zero factor columns and a zero gradient
             live = (ld > 0.0)[:, None]
@@ -504,22 +499,22 @@ class _Apg:
             g.lam[...] = np.where(live, step, g.lam)
 
     def _update_mode(self, n, w_hat):
-        """Step mode ``n``; in full mode return the per-block MTTKRPs."""
+        """Step mode ``n``; return each group's stacked MTTKRPs."""
         ln = self.counts[n]
         parts = []
-        mtts = [None] * self.S if self.tilde is None else None
         for g in self.groups:
             gram_skip = g.gram[self._others[n]].prod(axis=0)
             lu = lipschitz_factor(gram_skip, g.lam)
             lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
             g.lip_fac[n] = lu
             if self.tilde is None:
+                mtt = []
                 for s in g.idx:
                     tensor, facs = self.p.tensors[s], self.curr[s].factors
                     if n == 1:  # the first factor is final for the rest of the sweep
                         self._workspace[s] = mttkrp_partial(tensor, facs[0], self._workspace[s])
-                    mtts[s] = mttkrp(tensor, facs, n, self._workspace[s])
-                mtt = np.stack([mtts[s] for s in g.idx])
+                    mtt.append(mttkrp(tensor, facs, n, self._workspace[s]))
+                mtt = np.stack(mtt)
             else:
                 mtt = factor_linear_term_lra(g.tilde_mtt[n],
                                              g.cross[self._others[n], :, :g.rt])
@@ -561,10 +556,10 @@ class _Apg:
             g.u_prev[n][...] = g.u[n]
             g.u[n][...] = u_new
             g.refresh(n)
-        return mtts
+        return [mtt for *_, mtt in parts]
 
     def _sweep(self, w_hat):
-        """Cores, then each mode; returns the last mode's MTTKRPs (full mode)."""
+        """Cores, then each mode; returns the last mode's MTTKRP stacks."""
         if self.p.update_core:
             self._update_cores(w_hat)
         for n in range(self.N):
@@ -590,69 +585,78 @@ class _Apg:
         core = reconstruct(KruskalTensor(coeffs, weights))
         return float(np.vdot(core, core))
 
-    def _evaluate(self, bound=-np.inf, mtt=None):
-        """Objective and relative error at the current iterate.
+    def _raw_linear(self, g):
+        """Stacked :func:`core_linear_term` of group ``g``'s raw tensors."""
+        return np.stack([core_linear_term(self.p.tensors[s], self.curr[s].factors)
+                         for s in g.idx])
 
-        Returns ``(obj_internal, obj_original, rel_internal, rel_err,
-        staged)``: ``rel_internal`` is ``rel_err`` in full mode, and in lra
-        mode the mean ``sqrt(res~) / ||M~||`` of the residuals behind
-        ``obj_internal``; ``staged`` holds the next iteration's core linear
-        terms (full mode), from ``mtt``, the MTTKRPs returned by the sweep
-        that made this iterate, or else from :func:`core_linear_term`.
-        The internal objective is evaluated so that its error stays far
-        below the true per-iteration decrease.  In full mode the gram
-        expansion is kept only if no block's residual is small and the total
-        lies strictly below ``bound``; otherwise every block's residual is
-        formed explicitly, as it always is at the default bound.  In lra
-        mode the expansion plus its rounding-error bound is returned if it
-        lies strictly below ``bound``; otherwise the QR route takes over
-        wherever the compressed residual is small.
-        """
-        res, staged = np.empty(self.S), [None] * self.S
-        res_t, err, tilde_sq = np.empty(self.S), np.empty(self.S), np.empty(self.S)
-        for g in self.groups:
-            lam = g.lam
-            model_sq = _quad(lam, g.gram.prod(axis=0), lam)
-            for s in g.idx:
-                facs = self.curr[s].factors
-                if mtt is not None:
-                    staged[s] = np.einsum("ir,ir->r", facs[-1], mtt[s])
-                else:
-                    # at the start, after a swap, and in lra mode for the trace
-                    staged[s] = core_linear_term(self.p.tensors[s], facs)
-            b = np.stack([staged[s] for s in g.idx])
-            res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", lam, b) + model_sq
-            if self.tilde is not None:
-                cross = g.cross.prod(axis=0)
-                inner = _quad(g.mu, cross[:, :g.rt], lam)
-                res_t[g.idx] = g.tilde_sq - 2.0 * inner + model_sq
-                bound_abs = g.tilde_abs_sq + 2.0 * _quad(np.abs(g.mu), cross[:, g.rt:], lam)
-                err[g.idx] = g.err_scale * (bound_abs + model_sq)
-                tilde_sq[g.idx] = g.tilde_sq
-        if self.tilde is None:
-            obj_int = 0.5 * float(res.sum())
-            # the expansion cancels badly once a residual is small, and the
-            # restart rule decides on explicit values only
-            if (res < 1e-3 * self.norm_sq).any() or not obj_int < bound:
-                res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
-                obj_int = 0.5 * float(res.sum())
-            obj_orig = obj_int
-        else:
-            obj_int = 0.5 * float((res_t + err).sum())
-            if not obj_int < bound:
-                for s in np.flatnonzero(res_t < 1e-3 * tilde_sq):
-                    res_t[s] = self._small_residual_sq(s)
-                obj_int = 0.5 * float(np.maximum(res_t, 0.0).sum())
-            obj_orig = 0.5 * float(np.maximum(res, 0.0).sum())
+    def _finite(self, res):
+        """``res``, once every block's residual is finite."""
         bad = np.flatnonzero(~np.isfinite(res))
         if bad.size:
-            raise FloatingPointError(
-                f"block {bad[0]} produced a non-finite objective "
-                f"at iteration {self._iter_tag}"
-            )
-        rel = _mean_rel(res, self.norm_sq)
-        rel_int = rel if self.tilde is None else _mean_rel(res_t, tilde_sq)
-        return obj_int, obj_orig, rel_int, rel, staged
+            raise FloatingPointError(f"block {bad[0]} produced a non-finite objective "
+                                     f"at iteration {self._iter_tag}")
+        return res
+
+    def _evaluate(self, bound=-np.inf, mtt=None):
+        """Objective and relative error of the data the iteration fits.
+
+        Returns ``(obj, rel, staged)``: the objective, the mean
+        ``sqrt(res_s) / ||M_s||`` behind it (a zero-norm block counts 0), and
+        per group this iterate's core linear terms ``b``.  In full mode they
+        come from ``mtt``, the MTTKRP stacks of the sweep that made this
+        iterate, or else from :func:`core_linear_term`; in lra mode from
+        :func:`core_linear_term_lra`.  The objective's error stays far below
+        the true per-iteration decrease.  In full mode the gram expansion is
+        kept only if no block's residual is small and the total lies
+        strictly below ``bound``; otherwise every block's residual is formed
+        explicitly, as it always is at the default bound.  In lra mode the
+        expansion plus its rounding-error bound is returned if it lies
+        strictly below ``bound``; otherwise the QR route takes over wherever
+        the compressed residual is small.
+        """
+        res, err, data_sq = np.empty(self.S), np.zeros(self.S), np.empty(self.S)
+        staged = []
+        for i, g in enumerate(self.groups):
+            model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
+            if self.tilde is not None:
+                b = core_linear_term_lra(g.mu, g.cross[:, :, :g.rt])
+                cross_abs = g.cross.prod(axis=0)[:, g.rt:]
+                bound_abs = g.tilde_abs_sq + 2.0 * _quad(np.abs(g.mu), cross_abs, g.lam)
+                err[g.idx] = g.err_scale * (bound_abs + model_sq)
+            elif mtt is not None:
+                b = np.einsum("sir,sir->sr", g.u[-1], mtt[i])
+            else:  # at the start and after a swap
+                b = self._raw_linear(g)
+            staged.append(b)
+            res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + model_sq
+            data_sq[g.idx] = g.data_sq
+        obj = 0.5 * float((res + err).sum())
+        if self.tilde is None:
+            # the expansion cancels badly once a residual is small, and the
+            # restart rule decides on explicit values only
+            if (res < 1e-3 * data_sq).any() or not obj < bound:
+                res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
+                obj = 0.5 * float(res.sum())
+        elif not obj < bound:
+            for s in np.flatnonzero(res < 1e-3 * data_sq):
+                res[s] = self._small_residual_sq(s)
+            obj = 0.5 * float(np.maximum(res, 0.0).sum())
+        return obj, _mean_rel(self._finite(res), data_sq), staged
+
+    def _report(self, obj, rel):
+        """Objective and relative error against the original tensors, given
+        ``_evaluate``'s values at the current iterate: those values in full
+        mode, the raw tensors' gram expansion in lra mode."""
+        if self.tilde is None:
+            return obj, rel
+        res = np.empty(self.S)
+        for g in self.groups:
+            model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
+            b = self._raw_linear(g)
+            res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", g.lam, b) + model_sq
+        res = self._finite(res)
+        return 0.5 * float(np.maximum(res, 0.0).sum()), _mean_rel(res, self.norm_sq)
 
     # -- one iteration with restart ------------------------------------------
 
@@ -701,12 +705,12 @@ class _Apg:
         self.t_k = 1.0
         for g in self.groups:
             g.lip_core, g.lip_fac = None, [None] * self.N
-        self.b = self._evaluate()[4]
+        self.b = self._evaluate()[2]
         for _ in range(ESCAPE_SWEEPS):
             step = self._evaluate(obj_last, self._sweep(0.0))
             if step[0] < obj_last:
                 return step
-            self.b = step[4]
+            self.b = step[2]
         self._load(saved)
         return None
 
@@ -858,8 +862,7 @@ def solve(problem, opts=None):
     opts = opts if opts is not None else SolverOptions()
     problem.validate()
 
-    compress_seconds = 0.0
-    tilde = None
+    compress_seconds, tilde = 0.0, None
     if problem.mode == "lra":
         base = problem.als_options if problem.als_options is not None else AlsOptions()
         tic = time.perf_counter()
@@ -874,15 +877,13 @@ def solve(problem, opts=None):
     state = _Apg(problem, opts, tilde)
     t0 = time.perf_counter()
 
-    obj_int, obj_orig, rel_int, rel_err, staged = state._evaluate()
-    state.b = staged
-    obj_history = [obj_int]
-    rel_history = [rel_err]
+    obj, rel_fit, state.b = state._evaluate()
+    obj_orig, rel_err = state._report(obj, rel_fit)
+    obj_history, rel_history = [obj], [rel_err]
     trace = [TraceRow(0, obj_orig, rel_err, time.perf_counter() - t0)]
 
     termination = "max_iterations"
     row = trace[0]
-    n_done = 0
     stalled = False
     for k in range(1, opts.max_iter + 1):
         state._iter_tag = k
@@ -895,29 +896,28 @@ def solve(problem, opts=None):
             state.n_escapes += 1
         else:
             step = state._step(obj_history[-1])
-        obj_int, obj_orig, new_int, new_rel, state.b = step
-        obj_history.append(obj_int)
+        obj, new_fit, state.b = step
+        obj_orig, new_rel = state._report(obj, new_fit)
+        obj_history.append(obj)
         rel_history.append(new_rel)
-        n_done = k
         row = TraceRow(k, obj_orig, new_rel, time.perf_counter() - t0)
         if k % opts.trace_every == 0:
             trace.append(row)
-        stalled = abs(new_rel - rel_err) < opts.tol or abs(new_int - rel_int) < opts.tol
+        stalled = abs(new_rel - rel_err) < opts.tol or abs(new_fit - rel_fit) < opts.tol
         if stalled and (k == opts.max_iter or not state.can_escape):
             termination = "tolerance"
             break
-        rel_err, rel_int = new_rel, new_int
+        rel_err, rel_fit = new_rel, new_fit
     if trace[-1] is not row:
         trace.append(row)
 
-    factors = CoupledFactorSet(state.curr, list(problem.coupled_counts))
     return SolveResult(
-        factors=factors,
+        factors=CoupledFactorSet(state.curr, list(problem.coupled_counts)),
         trace=trace,
         termination_reason=termination,
         objective_history=obj_history,
         rel_err_history=rel_history,
-        n_iter=n_done,
+        n_iter=len(obj_history) - 1,
         n_restarts=state.n_restarts,
         n_escapes=state.n_escapes,
         solve_seconds=time.perf_counter() - t0,

@@ -300,20 +300,23 @@ def test_lra_preserves_fit_on_noisy_problems():
 def test_compressed_iterations_get_relatively_cheaper_with_size():
     """Single-threaded per-iteration time ratio raw/compressed is > 1 at
     size factor 4 and strictly larger at size factor 8 (30 fixed iterations,
-    compression time excluded from the per-iteration figure)."""
+    compression time excluded from the per-iteration figure).  The modes
+    run alternately, three times each, and each keeps its fastest run, so
+    a passing burst of load on the machine cannot decide the comparison."""
     ratios = {}
     with limit_blas_threads(1):
         for n in (4, 8):
-            per_iter = {}
-            for mode in ("full", "lra"):
-                problem, _ = coupled_problem(
-                    SynthSpec(n_blocks=10, size_factor=n, snr_db=20.0,
-                              seed=0),
-                    mode=mode)
-                result = tracked_solve(
-                    problem, SolverOptions(max_iter=30, tol=1e-300, seed=0),
-                    f"timing {mode} n={n}")
-                per_iter[mode] = result.solve_seconds / result.n_iter
+            spec = SynthSpec(n_blocks=10, size_factor=n, snr_db=20.0, seed=0)
+            problems = {mode: coupled_problem(spec, mode=mode)[0]
+                        for mode in ("full", "lra")}
+            per_iter = dict.fromkeys(problems, np.inf)
+            for run in range(3):
+                for mode, problem in problems.items():
+                    result = tracked_solve(
+                        problem, SolverOptions(max_iter=30, tol=1e-300, seed=0),
+                        f"timing {mode} n={n} run {run}")
+                    per_iter[mode] = min(per_iter[mode],
+                                         result.solve_seconds / result.n_iter)
             ratios[n] = per_iter["full"] / per_iter["lra"]
     assert ratios[4] > 1.0, f"per-iteration time ratios: {ratios}"
     assert ratios[8] > ratios[4], f"per-iteration time ratios: {ratios}"

@@ -237,6 +237,14 @@ def test_restarts_are_counted_and_monotonicity_survives_them():
     assert_monotone(res.objective_history)
 
 
+def assert_staged_terms_exact(state, staged):
+    """Each group's stack of staged core terms against :func:`core_linear_term`."""
+    for g, b in zip(state.groups, staged):
+        for row, s in zip(b, g.idx):
+            want = core_linear_term(state.p.tensors[s], state.curr[s].factors)
+            np.testing.assert_allclose(row, want, rtol=1e-12)
+
+
 def test_staged_core_terms_are_exact_across_restarts():
     # the full-mode core terms come from the MTTKRPs a sweep returns; a
     # restart must never let a product of the discarded sweep through
@@ -246,8 +254,7 @@ def test_staged_core_terms_are_exact_across_restarts():
     for k in range(1, 401):
         state._iter_tag = k
         obj, *_, state.b = state._step(obj)
-        for t, blk, b in zip(prob.tensors, state.curr, state.b):
-            np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
+        assert_staged_terms_exact(state, state.b)
         if state.n_restarts >= 2:
             break
     assert state.n_restarts >= 2
@@ -362,14 +369,45 @@ def test_lra_internal_rel_err_is_the_compressed_models():
     tilde = [KruskalTensor([rng.random((t.shape[n], 4)) for n in range(3)], w)
              for t, w in zip(prob.tensors, (rng.uniform(0.5, 1.5, 4), np.zeros(4)))]
     state = solver_module._Apg(prob, SolverOptions(seed=0), tilde)
-    _, _, rel_int, rel, _ = state._evaluate()
+    obj, rel_int, _ = state._evaluate()
     m = reconstruct(tilde[0])
     want = np.linalg.norm(m - reconstruct(state.curr[0])) / np.linalg.norm(m)
     assert rel_int == pytest.approx(want / 2, rel=1e-9)
+    # the report reads the original tensors
+    _, rel = state._report(obj, rel_int)
+    ratios = [np.linalg.norm(t - reconstruct(b)) / np.linalg.norm(t)
+              for t, b in zip(prob.tensors, state.curr)]
+    assert rel == pytest.approx(float(np.mean(ratios)), rel=1e-9)
     assert rel != pytest.approx(rel_int, rel=1e-3)
     # in full mode the two are one quantity
-    full = solver_module._Apg(make_problem(21), SolverOptions(seed=0), None)._evaluate()
-    assert full[2] == full[3]
+    full = solver_module._Apg(make_problem(21), SolverOptions(seed=0), None)
+    obj, rel, _ = full._evaluate()
+    assert full._report(obj, rel) == (obj, rel)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_objectives_name_the_block():
+    # block 1's squared norm overflows
+    for mode, error, match in (("full", FloatingPointError, "block 1 .* iteration 0"),
+                               ("lra", ValueError, "compression of block 1 failed")):
+        prob = make_problem(22, mode=mode)
+        prob.tensors[1] = prob.tensors[1] * 1e154
+        with pytest.raises(error, match=match):
+            solve(prob, SolverOptions(max_iter=5, seed=0))
+    # in lra mode the fitted residuals and the reported ones are each checked
+    prob = make_problem(22, mode="lra")
+    rng = np.random.default_rng(22)
+    tilde = [KruskalTensor([rng.random((t.shape[n], 4)) for n in range(3)], np.ones(4))
+             for t in prob.tensors]
+    prob.tensors[1] = prob.tensors[1] * 1e154
+    state = solver_module._Apg(prob, SolverOptions(seed=0), tilde)
+    obj, rel, _ = state._evaluate()
+    with pytest.raises(FloatingPointError, match="block 1 .* iteration 0"):
+        state._report(obj, rel)
+    tilde[1] = KruskalTensor(tilde[1].factors, np.full(4, 1e154))
+    state = solver_module._Apg(make_problem(22, mode="lra"), SolverOptions(seed=0), tilde)
+    with pytest.raises(FloatingPointError, match="block 1 .* iteration 0"):
+        state._evaluate()
 
 
 # --- solve: escape from a dead shared slot -------------------------------------------
@@ -450,16 +488,13 @@ def test_escape_swap_discards_products_of_the_last_sweep(monkeypatch):
     found = state._escape_candidate()
     assert found is not None
     state._swap(*found)
-    staged = state._evaluate()[-1]
-    for t, blk, b in zip(problem.tensors, state.curr, staged):
-        np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
+    assert_staged_terms_exact(state, state._evaluate()[-1])
     # the escape's own sweeps stage the terms of the iterate it accepts
     state = solver_module._Apg(problem, SolverOptions(seed=0), None)
     obj, *_, state.b = state._evaluate()
     step = state._escape(obj)
     assert step is not None
-    for t, blk, b in zip(problem.tensors, state.curr, step[-1]):
-        np.testing.assert_allclose(b, core_linear_term(t, blk.factors), rtol=1e-12)
+    assert_staged_terms_exact(state, step[-1])
 
 
 def test_fixed_core_and_uncoupled_problems_never_escape(monkeypatch):
@@ -612,6 +647,36 @@ def test_lra_trace_reports_original_tensor_quantities():
     assert got.rel_err == pytest.approx(float(np.mean(ratios)), rel=1e-8)
     # the restart-governed history tracks the compressed objective instead
     assert res.objective_history[-1] != pytest.approx(want_obj, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["lra-noisy", "escape-rejected"])
+def test_lra_reads_the_raw_tensors_once_per_recorded_iterate(monkeypatch, case):
+    # evaluations that a restart rejects and escape sweeps fit the
+    # compressed models only; the report reads each raw tensor once
+    if case == "lra-noisy":
+        make, opts = PINNED_SOLVES[case]
+        problem, start = make(), None
+    else:
+        # the escape is tried, and rejected after ESCAPE_SWEEPS sweeps
+        problem, _, start = dead_slot_trap(mode="lra")
+        opts = SolverOptions()
+    raw, swaps = [], []
+    linear, swap = solver_module.core_linear_term, solver_module._Apg._swap
+
+    def counted(tensor, factors):
+        raw.extend(1 for t in problem.tensors if t is tensor)
+        return linear(tensor, factors)
+
+    monkeypatch.setattr(solver_module, "core_linear_term", counted)
+    monkeypatch.setattr(solver_module._Apg, "_swap",
+                        lambda self, *found: swaps.append(1) or swap(self, *found))
+    if start is None:
+        res = solve(problem, opts)
+        assert res.n_restarts == PINNED_OUTCOMES[case][1] > 0
+    else:
+        res = solve_from(monkeypatch, problem, start, opts)
+        assert (len(swaps), res.n_escapes) == (1, 0)
+    assert len(raw) == problem.n_blocks * (res.n_iter + 1)
 
 
 def test_compressed_solve_tracks_full_solve_quality():
