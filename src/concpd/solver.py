@@ -364,7 +364,10 @@ def init_factors(problem, seed):
             # uncoupled modes may differ in size between blocks, so the
             # zero-width common slab cannot be stacked against them
             facs.append(np.hstack([common[n], ind]) if counts[n] else ind)
-        lam = rng.random(rank) if problem.update_core else np.ones(rank)
+        if problem.update_core:
+            lam = rng.random(rank)
+        else:
+            lam = np.ones(rank)
         blocks.append(KruskalTensor(facs, lam))
     return CoupledFactorSet(blocks, list(counts))
 
@@ -382,13 +385,6 @@ ESCAPE_SWEEPS = 20
 def _quad(x, mats, y):
     """``x_s^T mats_s y_s`` for every matrix of a stack."""
     return np.einsum("sr,srq,sq->s", x, mats, y)
-
-
-def _mean_rel(res, norm_sq):
-    """Mean over blocks of ``sqrt(res_s / norm_sq_s)``; a zero-norm block counts 0."""
-    norm = np.sqrt(norm_sq)
-    rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
-    return float(rel.sum()) / len(res)
 
 
 class _Group:
@@ -508,13 +504,12 @@ class _Apg:
             lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
             g.lip_fac[n] = lu
             if self.tilde is None:
-                mtt = []
-                for s in g.idx:
+                mtt = np.empty_like(g.u[n])
+                for j, s in enumerate(g.idx):
                     tensor, facs = self.p.tensors[s], self.curr[s].factors
                     if n == 1:  # the first factor is final for the rest of the sweep
                         self._workspace[s] = mttkrp_partial(tensor, facs[0], self._workspace[s])
-                    mtt.append(mttkrp(tensor, facs, n, self._workspace[s]))
-                mtt = np.stack(mtt)
+                    mtt[j] = mttkrp(tensor, facs, n, self._workspace[s])
             else:
                 mtt = factor_linear_term_lra(g.tilde_mtt[n],
                                              g.cross[self._others[n], :, :g.rt])
@@ -590,13 +585,18 @@ class _Apg:
         return np.stack([core_linear_term(self.p.tensors[s], self.curr[s].factors)
                          for s in g.idx])
 
-    def _finite(self, res):
-        """``res``, once every block's residual is finite."""
+    def _rel(self, res, norm_sq):
+        """Mean over blocks of ``sqrt(res_s / norm_sq_s)``, a zero-norm block
+        counting 0, once every block's residual is finite."""
         bad = np.flatnonzero(~np.isfinite(res))
         if bad.size:
-            raise FloatingPointError(f"block {bad[0]} produced a non-finite objective "
-                                     f"at iteration {self._iter_tag}")
-        return res
+            raise FloatingPointError(
+                f"block {bad[0]} produced a non-finite objective "
+                f"at iteration {self._iter_tag}"
+            )
+        norm = np.sqrt(norm_sq)
+        rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
+        return float(rel.sum()) / len(res)
 
     def _evaluate(self, bound=-np.inf, mtt=None):
         """Objective and relative error of the data the iteration fits.
@@ -642,7 +642,7 @@ class _Apg:
             for s in np.flatnonzero(res < 1e-3 * data_sq):
                 res[s] = self._small_residual_sq(s)
             obj = 0.5 * float(np.maximum(res, 0.0).sum())
-        return obj, _mean_rel(self._finite(res), data_sq), staged
+        return obj, self._rel(res, data_sq), staged
 
     def _report(self, obj, rel):
         """Objective and relative error against the original tensors, given
@@ -655,8 +655,7 @@ class _Apg:
             model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
             b = self._raw_linear(g)
             res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", g.lam, b) + model_sq
-        res = self._finite(res)
-        return 0.5 * float(np.maximum(res, 0.0).sum()), _mean_rel(res, self.norm_sq)
+        return 0.5 * float(np.maximum(res, 0.0).sum()), self._rel(res, self.norm_sq)
 
     # -- one iteration with restart ------------------------------------------
 
