@@ -392,8 +392,8 @@ class _Group:
     ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, per mode the
     grams ``(N, S, R, R)``, and ``data_sq``, the fitted data's ``||M||^2``.
     In lra mode ``cross`` stacks ``U~_n^T U_n`` over ``|U~_n|^T U_n``,
-    ``(N, S, 2 R~, R)``: one product over modes gives the cross-gram product
-    and the bound on the expansion's rounding error.
+    ``(N, S, 2 R~, R)``: one product per mode update refreshes the linear
+    terms' cross-grams and those of the bound on the expansion's rounding error.
     """
 
     def __init__(self, idx, blocks, tilde, norm_sq):
@@ -621,7 +621,7 @@ class _Apg:
             model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
             if self.tilde is not None:
                 b = core_linear_term_lra(g.mu, g.cross[:, :, :g.rt])
-                cross_abs = g.cross.prod(axis=0)[:, g.rt:]
+                cross_abs = np.multiply.reduce(g.cross[:, :, g.rt:])
                 bound_abs = g.tilde_abs_sq + 2.0 * _quad(np.abs(g.mu), cross_abs, g.lam)
                 err[g.idx] = g.err_scale * (bound_abs + model_sq)
             elif mtt is not None:

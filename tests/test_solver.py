@@ -664,7 +664,8 @@ def test_lra_reads_the_raw_tensors_once_per_recorded_iterate(monkeypatch, case):
     linear, swap = solver_module.core_linear_term, solver_module._Apg._swap
 
     def counted(tensor, factors):
-        raw.extend(1 for t in problem.tensors if t is tensor)
+        if any(tensor is t for t in problem.tensors):
+            raw.append(tensor)
         return linear(tensor, factors)
 
     monkeypatch.setattr(solver_module, "core_linear_term", counted)
