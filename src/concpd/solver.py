@@ -588,11 +588,10 @@ class _Apg:
     def _rel(self, res, norm_sq):
         """Mean over blocks of ``sqrt(res_s / norm_sq_s)``, a zero-norm block
         counting 0, once every block's residual is finite."""
-        bad = np.flatnonzero(~np.isfinite(res))
-        if bad.size:
+        if not np.isfinite(res).all():
             raise FloatingPointError(
-                f"block {bad[0]} produced a non-finite objective "
-                f"at iteration {self._iter_tag}"
+                f"block {np.flatnonzero(~np.isfinite(res))[0]} produced a "
+                f"non-finite objective at iteration {self._iter_tag}"
             )
         norm = np.sqrt(norm_sq)
         rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
