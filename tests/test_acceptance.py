@@ -302,7 +302,7 @@ def test_compressed_iterations_get_relatively_cheaper_with_size():
     size factor 4 and strictly larger at size factor 8 (30 fixed iterations,
     compression time excluded from the per-iteration figure).  The modes
     run alternately, three times each, and each keeps its fastest run, so
-    a passing burst of load on the machine cannot decide the comparison."""
+    one slow run of either mode does not decide the comparison."""
     ratios = {}
     with limit_blas_threads(1):
         for n in (4, 8):
