@@ -38,8 +38,10 @@ staged per group for the next core update.
   fit (:func:`concpd.cpd_als.cpd_als`).  Linear terms reduce to products
   of small cross-gram matrices, so per-iteration cost scales with the sum
   of dimensions instead of their product.  The expansion's rounding error
-  is bounded by the same expansion over absolute values (``|U~|^T U`` per
-  mode update, ``|U~|^T |U~|`` once).  The expansion plus that bound, an
+  is bounded by the same expansion over absolute values, whose cross term
+  Cauchy-Schwarz bounds by the product of the norms of ``[[|mu|; |U~|]]``
+  (from ``|U~|^T |U~|``, formed once) and of the model (``lam^T G lam``,
+  already at hand).  The expansion plus that bound, an
   upper bound of the true value, is kept when it lies strictly below the
   last recorded objective.  Otherwise, as at the start and after a
   restart, the expansion is used as is, and a stable QR route wherever the
@@ -63,9 +65,11 @@ old columns and weight into each matched block's vacated slot, and re-seeds
 a vacated slot whose old weight was 0 with a nonnegative rank-1 fit of the
 block's residual.  After at most ``ESCAPE_SWEEPS`` plain sweeps the escape
 is kept only if the objective is strictly below its last recorded value;
-otherwise the pre-escape iterate is restored and the run stops as before.
-A kept escape counts as one iteration and restarts momentum and step-size
-memory.  The escape draws no random numbers.
+otherwise the pre-escape factors and weights are restored and the run stops
+as before.  A kept escape counts as one iteration and restarts momentum:
+its sweeps and the first step after it extrapolate by ``w_hat = 0``, so the
+step-size memory, whose only use is to damp extrapolation, needs no reset.
+The escape draws no random numbers.
 """
 
 import time
@@ -77,8 +81,7 @@ from .cpd_als import AlsOptions, cpd_als
 from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
 from .tensor_ops import (
     factors_khatri_rao,
-    # unused here, but kept bound: the benchmark's tracer wraps it by name
-    hadamard_gram,  # noqa: F401
+    hadamard_gram,
     matricize,
     mttkrp,
     mttkrp_partial,
@@ -96,7 +99,6 @@ __all__ = [
     "factor_gradient",
     "core_linear_term",
     "core_linear_term_lra",
-    "factor_linear_term",
     "factor_linear_term_lra",
     "lipschitz_factor",
     "extrapolation_weight",
@@ -300,18 +302,12 @@ def factor_gradient(u_hat, gram_skip, mtt, lam):
     """Gradient of the block objective in one mode's factor.
 
     ``gram_skip`` is the Hadamard gram over the other modes, ``mtt`` the
-    matricized-tensor-times-Khatri-Rao product for this mode (see
-    :func:`factor_linear_term`), ``u_hat`` the (possibly extrapolated)
-    point.  Takes one block, or ``(S, ...)`` stacks of blocks.
+    matricized-tensor-times-Khatri-Rao product ``M_(n) U_kr^(-n)`` for this
+    mode (:func:`concpd.tensor_ops.mttkrp`), ``u_hat`` the (possibly
+    extrapolated) point.  Takes one block, or ``(S, ...)`` stacks of blocks.
     """
     outer = lam[..., :, None] * lam[..., None, :]
     return u_hat @ (gram_skip * outer) - mtt * lam[..., None, :]
-
-
-def factor_linear_term(tensor, factors, n):
-    """``M_(n) U_kr^(-n)`` — the product that dominates full-mode cost, by
-    the kernel the solver runs (:func:`concpd.tensor_ops.mttkrp`)."""
-    return mttkrp(tensor, factors, n)
 
 
 def factor_linear_term_lra(weighted, cross_others):
@@ -390,10 +386,12 @@ def _quad(x, mats, y):
 class _Group:
     """Blocks ``idx`` of one shape and rank: current and previous factors
     ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, per mode the
-    grams ``(N, S, R, R)``, and ``data_sq``, the fitted data's ``||M||^2``.
-    In lra mode ``cross`` stacks ``U~_n^T U_n`` over ``|U~_n|^T U_n``,
-    ``(N, S, 2 R~, R)``: one product per mode update refreshes the linear
-    terms' cross-grams and those of the bound on the expansion's rounding error.
+    grams ``(N, S, R, R)``, ``data_sq``, the fitted data's ``||M||^2``, and
+    ``lip``, the step bounds of the last update by ``"core"`` or mode, zero
+    before the first, which so takes no extrapolation.  In lra mode
+    ``cross`` holds the cross-grams ``U~_n^T U_n``, ``(N, S, R~, R)``, one
+    product per mode update, and ``tilde_abs`` the norms
+    ``||[[|mu|; |U~|]]||`` that scale the expansion's rounding-error bound.
     """
 
     def __init__(self, idx, blocks, tilde, norm_sq):
@@ -405,25 +403,24 @@ class _Group:
         self.lam_prev = self.lam.copy()
         size, rank = self.lam.shape
         self.gram = np.empty((order, size, rank, rank))
-        self.lip_core, self.lip_fac = None, [None] * order
+        self.lip = dict.fromkeys(["core", *range(order)], np.zeros(size))
         self.data_sq = norm_sq[idx]
         self.tilde_t = None
         if tilde is not None:
             facs = [np.stack([tilde[s].factors[n] for s in idx]) for n in range(order)]
             self.mu = np.stack([tilde[s].weights for s in idx])
-            self.rt = self.mu.shape[1]
-            self.tilde_t = [np.concatenate([f, np.abs(f)], axis=2).transpose(0, 2, 1).copy()
-                            for f in facs]
+            rt = self.mu.shape[1]
+            self.tilde_t = [f.transpose(0, 2, 1).copy() for f in facs]
             self.tilde_mtt = [f * self.mu[:, None, :] for f in facs]
-            self.cross = np.empty((order, size, 2 * self.rt, rank))
-            grams = [np.prod([f.transpose(0, 2, 1) @ f for f in fs], axis=0)
-                     for fs in (facs, [np.abs(f) for f in facs])]
-            self.data_sq = _quad(self.mu, grams[0], self.mu)
-            self.tilde_abs_sq = _quad(np.abs(self.mu), grams[1], np.abs(self.mu))
+            self.cross = np.empty((order, size, rt, rank))
+            self.data_sq = _quad(self.mu, hadamard_gram(facs), self.mu)
+            mu_abs, abs_gram = np.abs(self.mu), hadamard_gram([np.abs(f) for f in facs])
+            self.tilde_abs = np.sqrt(_quad(mu_abs, abs_gram, mu_abs))
             # no term of the expansion passes through more roundings than
             # this (gram sums, Hadamard and quadratic-form products and sums,
-            # two additions); eps, twice the unit roundoff, covers the rest
-            roundings = sum(f.shape[1] for f in facs) + order + (rank + self.rt) ** 2 + 4
+            # two additions); eps, twice the unit roundoff, covers the rest,
+            # the bound's own two square roots, sum and square included
+            roundings = sum(f.shape[1] for f in facs) + order + (rank + rt) ** 2 + 4
             self.err_scale = roundings * np.finfo(float).eps
         for n in range(order):
             self.refresh(n)
@@ -483,8 +480,7 @@ class _Apg:
         for g, linear in zip(self.groups, self.b):
             gram_all = g.gram.prod(axis=0)
             ld = spectral_norm(gram_all)
-            ld_prev = ld if g.lip_core is None else g.lip_core
-            g.lip_core = ld
+            ld_prev, g.lip["core"] = g.lip["core"], ld
             w = extrapolation_weight(w_hat, ld_prev, ld, self.o.delta_w)
             lam_hat = g.lam + w[:, None] * (g.lam - g.lam_prev)
             grad = core_gradient(gram_all, lam_hat, linear)
@@ -501,8 +497,7 @@ class _Apg:
         for g in self.groups:
             gram_skip = g.gram[self._others[n]].prod(axis=0)
             lu = lipschitz_factor(gram_skip, g.lam)
-            lu_prev = lu if g.lip_fac[n] is None else g.lip_fac[n]
-            g.lip_fac[n] = lu
+            lu_prev, g.lip[n] = g.lip[n], lu
             if self.tilde is None:
                 mtt = np.empty_like(g.u[n])
                 for j, s in enumerate(g.idx):
@@ -511,8 +506,7 @@ class _Apg:
                         self._workspace[s] = mttkrp_partial(tensor, facs[0], self._workspace[s])
                     mtt[j] = mttkrp(tensor, facs, n, self._workspace[s])
             else:
-                mtt = factor_linear_term_lra(g.tilde_mtt[n],
-                                             g.cross[self._others[n], :, :g.rt])
+                mtt = factor_linear_term_lra(g.tilde_mtt[n], g.cross[self._others[n]])
             parts.append((gram_skip, lu, lu_prev, mtt))
 
         if ln > 0:
@@ -600,9 +594,10 @@ class _Apg:
     def _evaluate(self, bound=-np.inf, mtt=None):
         """Objective and relative error of the data the iteration fits.
 
-        Returns ``(obj, rel, staged)``: the objective, the mean
-        ``sqrt(res_s) / ||M_s||`` behind it (a zero-norm block counts 0), and
-        per group this iterate's core linear terms ``b``.  In full mode they
+        Returns ``(obj, rel, model_sq, staged)``: the objective, the mean
+        ``sqrt(res_s) / ||M_s||`` behind it (a zero-norm block counts 0), per
+        block the model's ``lam^T G lam``, and per group this iterate's core
+        linear terms ``b``.  In full mode they
         come from ``mtt``, the MTTKRP stacks of the sweep that made this
         iterate, or else from :func:`core_linear_term`; in lra mode from
         :func:`core_linear_term_lra`.  The objective's error stays far below
@@ -614,22 +609,22 @@ class _Apg:
         strictly below ``bound``; otherwise the QR route takes over wherever
         the compressed residual is small.
         """
-        res, err, data_sq = np.empty(self.S), np.zeros(self.S), np.empty(self.S)
-        staged = []
+        res, data_sq, model_sq = np.empty((3, self.S))
+        err, staged = np.zeros(self.S), []
         for i, g in enumerate(self.groups):
-            model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
+            quad = _quad(g.lam, g.gram.prod(axis=0), g.lam)
             if self.tilde is not None:
-                b = core_linear_term_lra(g.mu, g.cross[:, :, :g.rt])
-                cross_abs = np.multiply.reduce(g.cross[:, :, g.rt:])
-                bound_abs = g.tilde_abs_sq + 2.0 * _quad(np.abs(g.mu), cross_abs, g.lam)
-                err[g.idx] = g.err_scale * (bound_abs + model_sq)
+                b = core_linear_term_lra(g.mu, g.cross)
+                # the expansion over absolute values, its cross term bounded
+                # by Cauchy-Schwarz as the product of the two models' norms
+                err[g.idx] = g.err_scale * (g.tilde_abs + np.sqrt(quad)) ** 2
             elif mtt is not None:
                 b = np.einsum("sir,sir->sr", g.u[-1], mtt[i])
             else:  # at the start and after a swap
                 b = self._raw_linear(g)
             staged.append(b)
-            res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + model_sq
-            data_sq[g.idx] = g.data_sq
+            res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + quad
+            data_sq[g.idx], model_sq[g.idx] = g.data_sq, quad
         obj = 0.5 * float((res + err).sum())
         if self.tilde is None:
             # the expansion cancels badly once a residual is small, and the
@@ -641,19 +636,18 @@ class _Apg:
             for s in np.flatnonzero(res < 1e-3 * data_sq):
                 res[s] = self._small_residual_sq(s)
             obj = 0.5 * float(np.maximum(res, 0.0).sum())
-        return obj, self._rel(res, data_sq), staged
+        return obj, self._rel(res, data_sq), model_sq, staged
 
-    def _report(self, obj, rel):
+    def _report(self, obj, rel, model_sq):
         """Objective and relative error against the original tensors, given
         ``_evaluate``'s values at the current iterate: those values in full
         mode, the raw tensors' gram expansion in lra mode."""
         if self.tilde is None:
             return obj, rel
-        res = np.empty(self.S)
+        lin = np.empty(self.S)
         for g in self.groups:
-            model_sq = _quad(g.lam, g.gram.prod(axis=0), g.lam)
-            b = self._raw_linear(g)
-            res[g.idx] = self.norm_sq[g.idx] - 2.0 * np.einsum("sr,sr->s", g.lam, b) + model_sq
+            lin[g.idx] = np.einsum("sr,sr->s", g.lam, self._raw_linear(g))
+        res = self.norm_sq - 2.0 * lin + model_sq
         return 0.5 * float(np.maximum(res, 0.0).sum()), self._rel(res, self.norm_sq)
 
     # -- one iteration with restart ------------------------------------------
@@ -664,12 +658,12 @@ class _Apg:
             for n in range(self.N):
                 g.refresh(n)
 
-    def _copy_iterate(self, backward):
-        """Previous iterate := current one, or with ``backward`` the reverse."""
+    def _restore_previous(self):
+        """Current iterate := previous one."""
         for g in self.groups:
-            curr, prev = g.arrays()
-            for dst, src in zip(*((curr, prev) if backward else (prev, curr))):
+            for dst, src in zip(*g.arrays()):
                 dst[...] = src
+        self._refresh_grams()
 
     def _step(self, obj_last):
         """One extrapolated sweep, redone plainly if the objective rises."""
@@ -680,8 +674,7 @@ class _Apg:
         if step[0] >= obj_last:
             # extrapolation overshot: redo the iteration without it
             self.n_restarts += 1
-            self._copy_iterate(backward=True)
-            self._refresh_grams()
+            self._restore_previous()
             step = self._evaluate(mtt=self._sweep(0.0))
         return step
 
@@ -691,25 +684,29 @@ class _Apg:
         """Swap a shared component held by individual slots into a dead
         shared slot; see the module docstring.
 
-        Returns the evaluation of the accepted iterate, or ``None`` with the
-        state untouched when there is no candidate or no strict decrease.
+        Returns the evaluation of the accepted iterate, or ``None`` when
+        there is no candidate or no strict decrease; then only the factors
+        and weights are restored to the pre-escape iterate, and the caller
+        stops.
         """
         found = self._escape_candidate()
         if found is None:
             return None
-        saved = self._save()
+        saved = [[a.copy() for a in g.arrays()[0]] for g in self.groups]
         self._swap(*found)
-        # the swap breaks the momentum and curvature history of every block
+        # the swap breaks the momentum of every block: the sweeps below and
+        # the first step after a kept escape extrapolate by w_hat = 0, which
+        # no previous iterate or step bound can change
         self.t_k = 1.0
-        for g in self.groups:
-            g.lip_core, g.lip_fac = None, [None] * self.N
-        self.b = self._evaluate()[2]
+        self.b = self._evaluate()[-1]
         for _ in range(ESCAPE_SWEEPS):
             step = self._evaluate(obj_last, self._sweep(0.0))
             if step[0] < obj_last:
                 return step
-            self.b = step[2]
-        self._load(saved)
+            self.b = step[-1]
+        for g, arrays in zip(self.groups, saved):
+            for dst, src in zip(g.arrays()[0], arrays):
+                dst[...] = src
         return None
 
     def _escape_candidate(self):
@@ -790,7 +787,6 @@ class _Apg:
             lam[r] = scale
             if dead:
                 self._reseed(s, j)
-        self._copy_iterate(backward=False)
         self._refresh_grams()
 
     def _reseed(self, s, j):
@@ -810,19 +806,6 @@ class _Apg:
             sigma /= length
         blk.weights[j] = sigma
 
-    def _save(self):
-        stacks = [[a.copy() for part in g.arrays() for a in part] for g in self.groups]
-        steps = [(g.lip_core, list(g.lip_fac)) for g in self.groups]
-        return stacks, steps, self.b, self.t_k
-
-    def _load(self, saved):
-        stacks, steps, self.b, self.t_k = saved
-        for g, arrays, (lip_core, lip_fac) in zip(self.groups, stacks, steps):
-            g.lip_core, g.lip_fac = lip_core, lip_fac
-            for dst, src in zip([a for part in g.arrays() for a in part], arrays):
-                dst[...] = src
-        self._refresh_grams()
-
 
 def _rank1_nonnegative(tensor):
     """Unit nonnegative columns and scale of a rank-1 fit by 10 projected
@@ -839,7 +822,7 @@ def _rank1_nonnegative(tensor):
         cols.append(v / max(np.linalg.norm(v), 1e-300))
     for _ in range(10):
         for n in range(tensor.ndim):
-            v = np.maximum(factor_linear_term(tensor, cols, n), 0.0)
+            v = np.maximum(mttkrp(tensor, cols, n), 0.0)
             norm = np.linalg.norm(v)
             if norm == 0.0:
                 return cols, 0.0
@@ -875,8 +858,8 @@ def solve(problem, opts=None):
     state = _Apg(problem, opts, tilde)
     t0 = time.perf_counter()
 
-    obj, rel_fit, state.b = state._evaluate()
-    obj_orig, rel_err = state._report(obj, rel_fit)
+    obj, rel_fit, model_sq, state.b = state._evaluate()
+    obj_orig, rel_err = state._report(obj, rel_fit, model_sq)
     obj_history, rel_history = [obj], [rel_err]
     trace = [TraceRow(0, obj_orig, rel_err, time.perf_counter() - t0)]
 
@@ -894,8 +877,8 @@ def solve(problem, opts=None):
             state.n_escapes += 1
         else:
             step = state._step(obj_history[-1])
-        obj, new_fit, state.b = step
-        obj_orig, new_rel = state._report(obj, new_fit)
+        obj, new_fit, model_sq, state.b = step
+        obj_orig, new_rel = state._report(obj, new_fit, model_sq)
         obj_history.append(obj)
         rel_history.append(new_rel)
         row = TraceRow(k, obj_orig, new_rel, time.perf_counter() - t0)

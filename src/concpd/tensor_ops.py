@@ -183,13 +183,14 @@ def hadamard_gram(mats, skip=None):
 
     Computes ``prod_n (mats[n].T @ mats[n])`` element-wise, skipping index
     ``skip`` if given: the gram ``(U_kr).T @ U_kr`` of the Khatri-Rao
-    product, obtained without forming it.
+    product, obtained without forming it.  Takes one matrix per mode, or
+    ``(S, I_n, R)`` stacks, whose grams are taken slice by slice.
     """
     out = None
     for k, a in enumerate(mats):
         if k == skip:
             continue
-        g = np.asarray(a).T @ np.asarray(a)
+        g = np.swapaxes(a, -1, -2) @ np.asarray(a)
         if out is None:
             out = g
         elif g.shape != out.shape:

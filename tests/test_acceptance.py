@@ -27,7 +27,6 @@ from concpd.solver import (
     core_linear_term,
     core_linear_term_lra,
     factor_gradient,
-    factor_linear_term,
     factor_linear_term_lra,
     objective,
     solve,
@@ -37,6 +36,7 @@ from concpd.tensor_ops import (
     factors_khatri_rao,
     hadamard_gram,
     matricize,
+    mttkrp,
     refold,
     unvectorize,
     vectorize,
@@ -161,7 +161,7 @@ def test_gradients_match_central_differences():
                            [src.factors[m].T @ block.factors[m]
                             for m in range(3) if m != n])
                        if compressed
-                       else factor_linear_term(src, block.factors, n))
+                       else mttkrp(src, block.factors, n))
                 return factor_gradient(block.factors[n],
                                        hadamard_gram(block.factors, skip=n),
                                        mtt, block.weights)
@@ -244,7 +244,7 @@ def test_tensor_algebra_identities():
                 factor_linear_term_lra(tilde.factors[n] * tilde.weights,
                                        [tilde.factors[m].T @ mats[m]
                                         for m in range(order) if m != n]),
-                factor_linear_term(surrogate, mats, n),
+                mttkrp(surrogate, mats, n),
                 rtol=1e-10, atol=1e-10)
 
 

@@ -1,9 +1,12 @@
 """Behavioral tests for the coupled solver: identities, invariants, plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from concpd import solver as solver_module
+from concpd.cpd_als import AlsOptions, cpd_als
 from concpd.kruskal import CoupledFactorSet, KruskalTensor, reconstruct
 from concpd.metrics import add_noise
 from concpd.solver import (
@@ -12,7 +15,6 @@ from concpd.solver import (
     core_linear_term,
     core_linear_term_lra,
     extrapolation_weight,
-    factor_linear_term,
     factor_linear_term_lra,
     init_factors,
     lipschitz_factor,
@@ -24,6 +26,7 @@ from concpd.synth import SynthSpec, generate
 from concpd.tensor_ops import (
     factors_khatri_rao,
     hadamard_gram,
+    mttkrp,
     mttkrp_partial,
     spectral_norm,
 )
@@ -78,7 +81,7 @@ def test_compressed_factor_linear_term_matches_full():
     )
     dense = reconstruct(tilde)
     for n in range(3):
-        full = factor_linear_term(dense, facs, n)
+        full = mttkrp(dense, facs, n)
         fast = factor_linear_term_lra(tilde.factors[n] * tilde.weights,
                                       [tilde.factors[m].T @ facs[m]
                                        for m in range(3) if m != n])
@@ -361,6 +364,23 @@ def test_lra_evaluate_keeps_the_expansion_only_when_certified(monkeypatch):
         assert state._evaluate()[0] == pytest.approx(exact, rel=1e-9)
 
 
+def test_lra_certificate_holds_for_sign_indefinite_compressions():
+    # unconstrained ALS leaves signs of both kinds in the compressed factors,
+    # so |U~| differs from U~ and the cross term's bound is not the term
+    prob = make_problem(7, snr_db=20.0, mode="lra")
+    tilde = [cpd_als(t, 4, AlsOptions(seed=s)).model for s, t in enumerate(prob.tensors)]
+    facs = np.concatenate([f.ravel() for k in tilde for f in k.factors])
+    assert (facs < 0.0).any() and (facs > 0.0).any()
+    state = solver_module._Apg(prob, SolverOptions(seed=1), tilde)
+    obj, *_, state.b = state._evaluate()
+    for k in range(1, 61):
+        state._iter_tag = k
+        exact = 0.5 * sum(np.linalg.norm(reconstruct(t) - reconstruct(b)) ** 2
+                          for t, b in zip(tilde, state.curr))
+        assert state._evaluate(np.inf)[0] >= exact, f"iteration {k - 1}"
+        obj, *_, state.b = state._step(obj)
+
+
 def test_lra_internal_rel_err_is_the_compressed_models():
     # the stopping rule's second quantity: sqrt(res~) / ||M~|| per block,
     # averaged, where a compressed model of zero norm counts 0
@@ -369,20 +389,20 @@ def test_lra_internal_rel_err_is_the_compressed_models():
     tilde = [KruskalTensor([rng.random((t.shape[n], 4)) for n in range(3)], w)
              for t, w in zip(prob.tensors, (rng.uniform(0.5, 1.5, 4), np.zeros(4)))]
     state = solver_module._Apg(prob, SolverOptions(seed=0), tilde)
-    obj, rel_int, _ = state._evaluate()
+    obj, rel_int, model_sq, _ = state._evaluate()
     m = reconstruct(tilde[0])
     want = np.linalg.norm(m - reconstruct(state.curr[0])) / np.linalg.norm(m)
     assert rel_int == pytest.approx(want / 2, rel=1e-9)
     # the report reads the original tensors
-    _, rel = state._report(obj, rel_int)
+    _, rel = state._report(obj, rel_int, model_sq)
     ratios = [np.linalg.norm(t - reconstruct(b)) / np.linalg.norm(t)
               for t, b in zip(prob.tensors, state.curr)]
     assert rel == pytest.approx(float(np.mean(ratios)), rel=1e-9)
     assert rel != pytest.approx(rel_int, rel=1e-3)
     # in full mode the two are one quantity
     full = solver_module._Apg(make_problem(21), SolverOptions(seed=0), None)
-    obj, rel, _ = full._evaluate()
-    assert full._report(obj, rel) == (obj, rel)
+    obj, rel, model_sq, _ = full._evaluate()
+    assert full._report(obj, rel, model_sq) == (obj, rel)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -401,9 +421,9 @@ def test_non_finite_objectives_name_the_block():
              for t in prob.tensors]
     prob.tensors[1] = prob.tensors[1] * 1e154
     state = solver_module._Apg(prob, SolverOptions(seed=0), tilde)
-    obj, rel, _ = state._evaluate()
+    obj, rel, model_sq, _ = state._evaluate()
     with pytest.raises(FloatingPointError, match="block 1 .* iteration 0"):
-        state._report(obj, rel)
+        state._report(obj, rel, model_sq)
     tilde[1] = KruskalTensor(tilde[1].factors, np.full(4, 1e154))
     state = solver_module._Apg(make_problem(22, mode="lra"), SolverOptions(seed=0), tilde)
     with pytest.raises(FloatingPointError, match="block 1 .* iteration 0"):
@@ -495,6 +515,31 @@ def test_escape_swap_discards_products_of_the_last_sweep(monkeypatch):
     step = state._escape(obj)
     assert step is not None
     assert_staged_terms_exact(state, step[-1])
+
+
+@pytest.mark.parametrize("mode", ["full", "lra"])
+def test_rejected_escape_leaves_the_solve_as_without_it(monkeypatch, mode):
+    # at the default tolerance the trap's escape is tried once and rejected;
+    # the run then ends exactly where it would have with no candidate
+    problem, _, start = dead_slot_trap(mode=mode)
+    swaps, swap = [], solver_module._Apg._swap
+    monkeypatch.setattr(solver_module._Apg, "_swap",
+                        lambda self, *found: swaps.append(1) or swap(self, *found))
+    tried = solve_from(monkeypatch, problem, start, SolverOptions())
+    assert (len(swaps), tried.n_escapes) == (1, 0)
+    monkeypatch.setattr(solver_module._Apg, "_escape_candidate", lambda self: None)
+    plain = solve_from(monkeypatch, problem, start, SolverOptions())
+    assert len(swaps) == 1
+    for a, b in zip(tried.factors.blocks, plain.factors.blocks):
+        np.testing.assert_array_equal(a.weights, b.weights)
+        for fa, fb in zip(a.factors, b.factors):
+            np.testing.assert_array_equal(fa, fb)
+    assert tried.objective_history == plain.objective_history
+    assert tried.rel_err_history == plain.rel_err_history
+    assert ([replace(r, elapsed_s=0.0) for r in tried.trace]
+            == [replace(r, elapsed_s=0.0) for r in plain.trace])
+    assert ((tried.n_iter, tried.n_restarts, tried.termination_reason)
+            == (plain.n_iter, plain.n_restarts, plain.termination_reason))
 
 
 def test_fixed_core_and_uncoupled_problems_never_escape(monkeypatch):

@@ -15,11 +15,10 @@ from concpd.solver import (
     core_linear_term,
     core_linear_term_lra,
     factor_gradient,
-    factor_linear_term,
     factor_linear_term_lra,
     objective,
 )
-from concpd.tensor_ops import hadamard_gram
+from concpd.tensor_ops import hadamard_gram, mttkrp
 
 N_MODES = 3
 
@@ -108,7 +107,7 @@ def analytic_factor(tensor, block, n):
     return factor_gradient(
         block.factors[n],
         hadamard_gram(block.factors, skip=n),
-        factor_linear_term(tensor, block.factors, n),
+        mttkrp(tensor, block.factors, n),
         block.weights,
     )
 

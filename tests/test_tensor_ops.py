@@ -253,6 +253,17 @@ def test_hadamard_gram_full_and_skip():
     assert np.allclose(hadamard_gram(mats, skip=1), want_skip, atol=1e-12)
 
 
+def test_hadamard_gram_of_stacks_is_taken_slice_by_slice():
+    rng = np.random.default_rng(10)
+    stacks = [rng.standard_normal((3, d, 4)) for d in (4, 5, 6)]
+    got = hadamard_gram(stacks)
+    assert got.shape == (3, 4, 4)
+    for s in range(3):
+        np.testing.assert_array_equal(got[s], hadamard_gram([a[s] for a in stacks]))
+        np.testing.assert_array_equal(hadamard_gram(stacks, skip=1)[s],
+                                      hadamard_gram([a[s] for a in stacks], skip=1))
+
+
 def test_hadamard_gram_is_khatri_rao_gram():
     rng = np.random.default_rng(11)
     mats = [rng.standard_normal((d, 4)) for d in (3, 4, 2)]
