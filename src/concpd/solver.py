@@ -640,8 +640,8 @@ class _Apg:
 
     def _report(self, obj, rel, model_sq):
         """Objective and relative error against the original tensors, given
-        ``_evaluate``'s values at the current iterate: those values in full
-        mode, the raw tensors' gram expansion in lra mode."""
+        ``_evaluate``'s first three values at the current iterate: the first
+        two in full mode, the raw tensors' gram expansion in lra mode."""
         if self.tilde is None:
             return obj, rel
         lin = np.empty(self.S)
