@@ -685,9 +685,9 @@ class _Apg:
         shared slot; see the module docstring.
 
         Returns the evaluation of the accepted iterate, or ``None`` when
-        there is no candidate or no strict decrease; then only the factors
-        and weights are restored to the pre-escape iterate, and the caller
-        stops.
+        there is no candidate (nothing changed) or no strict decrease (only
+        the factors and weights are restored to the pre-escape iterate); on
+        ``None`` the caller stops.
         """
         found = self._escape_candidate()
         if found is None:
