@@ -26,7 +26,7 @@ def main():
 
     print(f"\nstopped after {result.n_iter} iterations "
           f"({result.termination_reason}, {result.n_restarts} restarts, "
-          f"{result.n_escapes} escapes, {result.solve_seconds:.2f}s)")
+          f"{result.solve_seconds:.2f}s)")
     for row in result.trace[:: max(1, len(result.trace) // 8)]:
         print(f"  iter {row.iteration:4d}  objfun {row.obj_fun:12.6f}  "
               f"relerr {row.rel_err:.2e}")

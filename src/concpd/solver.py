@@ -48,28 +48,19 @@ staged per group for the next core update.
   compressed residual is below ``1e-3 ||M~||^2``.  A separate report reads
   the raw tensors once per recorded iterate, by the same expansion, for the
   trace's objective and relative error; evaluations that a restart rejects
-  and escape sweeps never touch them.  The stopping rule fires when that
+  never touch them.  The stopping rule fires when that
   relative error or the compressed models' (``sqrt(res~) / ||M~||``
   averaged over blocks) stalls.
 
-Escape from a dead shared slot.  The iteration can stall at a point where a
-shared slot's core weight is exactly 0 in some block with a strictly
-positive gradient, while the true shared component sits in individual slots
-of two or more blocks; no monotone projected step leaves such a point.  When
-the stopping rule fires with core updates on, the solver looks for such a
-slot and for individual slots whose columns agree in every coupled mode
-(product of per-mode cosines at least ``ESCAPE_AGREEMENT``).  It then writes
-their mean direction into the shared slot, bit-identical in every block,
-with the matched scale carried into the weights; it moves the shared slot's
-old columns and weight into each matched block's vacated slot, and re-seeds
-a vacated slot whose old weight was 0 with a nonnegative rank-1 fit of the
-block's residual.  After at most ``ESCAPE_SWEEPS`` plain sweeps the escape
-is kept only if the objective is strictly below its last recorded value;
-otherwise the pre-escape factors and weights are restored and the run stops
-as before.  A kept escape counts as one iteration and restarts momentum:
-its sweeps and the first step after it extrapolate by ``w_hat = 0``, so the
-step-size memory, whose only use is to damp extrapolation, needs no reset.
-The escape draws no random numbers.
+The start.  Factors and weights are drawn uniformly (see
+:func:`init_factors`), except that the shared columns point along the
+common components of the blocks, taken jointly from one unconstrained ALS
+fit of the blocks' norm-weighted sum before any per-block fit.  A random
+start of the shared columns could leave the iteration at a point where a
+shared slot's weight is exactly 0 in some block while the true shared
+component sits in individual slots, a point no monotone projected step
+leaves.  Both modes start from the raw tensors, so they begin at the same
+iterate.
 """
 
 import time
@@ -78,6 +69,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cpd_als import AlsOptions, cpd_als
+# the start's fit has a name of its own, so that calls of ``cpd_als`` through
+# this module are the lra compressions alone
+from .cpd_als import cpd_als as _fit_common
 from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
 from .tensor_ops import (
     factors_khatri_rao,
@@ -228,12 +222,10 @@ class SolveResult:
     full mode, where it equals the trace objective, the compressed models
     in lra mode — and is the quantity the restart rule keeps non-increasing.
 
-    ``n_restarts`` counts iterations redone without extrapolation;
-    ``n_escapes`` counts kept escapes from a dead shared slot (see the
-    module docstring).  A kept escape is one iteration, with one entry in
-    each history that lies strictly below the entry before it; a rejected
-    escape leaves no entry, so ``len(objective_history) == n_iter + 1``
-    always holds.
+    ``n_restarts`` counts iterations redone without extrapolation; a redone
+    iteration records one entry, so ``len(objective_history) == n_iter + 1``
+    always holds.  ``compression`` holds the lra mode's compressed models,
+    ``None`` in full mode.
     """
 
     factors: CoupledFactorSet
@@ -243,7 +235,6 @@ class SolveResult:
     rel_err_history: list = field(repr=False, default_factory=list)
     n_iter: int = 0
     n_restarts: int = 0
-    n_escapes: int = 0
     solve_seconds: float = 0.0
     compress_seconds: float = 0.0
     compression: list = None
@@ -340,43 +331,67 @@ def extrapolation_weight(w_hat, lip_prev, lip_curr, delta_w):
 
 
 def init_factors(problem, seed):
-    """Uniform [0, 1) initialization with the common prefix drawn once.
+    """Uniform [0, 1) draws, with the shared columns turned towards the
+    blocks' common components.
 
-    Weight vectors are uniform [0, 1) as well, except in the fixed-core
-    variant where they are all ones.  The draw order (common prefixes by
-    mode, then per block: individual columns by mode, then weights) is part
-    of the determinism contract.
+    Drawn, in an order that is part of the determinism contract: the shared
+    prefix by mode, then per block the individual columns by mode, then the
+    weights (uniform [0, 1), or all ones in the fixed-core variant).  From
+    the data: with ``L = max(coupled_counts) > 0``, a rank-``L``
+    unconstrained ALS fit (:func:`concpd.cpd_als.cpd_als`, seed ``seed``) of
+    the sum of ``M_s / ||M_s||`` over the blocks of block 0's dims, which
+    extracts the common components from all blocks jointly, as group
+    component analysis does.  Shared column ``r`` of mode ``n`` then takes
+    the direction of ``|U_n[:, r]|`` at its drawn length.  The fit's rank is
+    capped at what ALS accepts for those dims; columns past the cap, and
+    columns whose direction has norm 0, keep their draw.  A block of norm 0
+    or of non-finite norm adds nothing to the sum.
     """
     rng = np.random.default_rng(seed)
     counts = problem.coupled_counts
     dims0 = problem.tensors[0].shape
     common = [rng.random((dims0[n], counts[n])) for n in range(problem.order)]
-    blocks = []
+    drawn = []
     for s in range(problem.n_blocks):
         rank = problem.ranks[s]
-        facs = []
-        for n in range(problem.order):
-            ind = rng.random((problem.tensors[s].shape[n], rank - counts[n]))
-            # uncoupled modes may differ in size between blocks, so the
-            # zero-width common slab cannot be stacked against them
-            facs.append(np.hstack([common[n], ind]) if counts[n] else ind)
-        if problem.update_core:
-            lam = rng.random(rank)
-        else:
-            lam = np.ones(rank)
+        ind = [rng.random((problem.tensors[s].shape[n], rank - counts[n]))
+               for n in range(problem.order)]
+        drawn.append((ind, rng.random(rank) if problem.update_core else np.ones(rank)))
+    if max(counts) > 0:
+        _point_at_common(problem.tensors, common, seed)
+    blocks = []
+    for ind, lam in drawn:
+        # uncoupled modes may differ in size between blocks, so the
+        # zero-width common slab cannot be stacked against them
+        facs = [np.hstack([c, i]) if c.shape[1] else i for c, i in zip(common, ind)]
         blocks.append(KruskalTensor(facs, lam))
     return CoupledFactorSet(blocks, list(counts))
+
+
+def _point_at_common(tensors, common, seed):
+    """Turn the drawn shared columns ``common`` in place; see
+    :func:`init_factors`."""
+    dims = tensors[0].shape
+    mean = np.zeros(dims)
+    for t in tensors:
+        norm = np.sqrt(float(np.vdot(t, t)))
+        if t.shape == dims and 0.0 < norm < np.inf:
+            # slice by slice, so no block-sized temporary is formed
+            for i in range(dims[0]):
+                mean[i] += t[i] / norm
+    rank = min(max(c.shape[1] for c in common), mean.size // max(dims))
+    fit = _fit_common(mean, rank, AlsOptions(seed=seed)).model
+    for c, u in zip(common, fit.factors):
+        for r in range(min(c.shape[1], rank)):
+            direction = np.abs(u[:, r])
+            length = np.linalg.norm(direction)
+            if length > 0.0:
+                c[:, r] = direction * (np.linalg.norm(c[:, r]) / length)
 
 
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
-
-# an escape matches individual slots whose per-mode cosines multiply to at
-# least this, and is kept only if this many plain sweeps beat the objective
-ESCAPE_AGREEMENT = 0.95
-ESCAPE_SWEEPS = 20
-
 
 def _quad(x, mats, y):
     """``x_s^T mats_s y_s`` for every matrix of a stack."""
@@ -469,10 +484,7 @@ class _Apg:
         self._workspace = [None] * self.S
         self._iter_tag = 0
 
-        self.t_k, self.n_restarts, self.n_escapes = 1.0, 0, 0
-        # escapes swap slots between shared and individual columns, which
-        # needs a core to carry scale and a slot shared by two or more blocks
-        self.can_escape = problem.update_core and self.S > 1 and max(self.counts) > 0
+        self.t_k, self.n_restarts = 1.0, 0
 
     # -- block updates -----------------------------------------------------
 
@@ -620,7 +632,7 @@ class _Apg:
                 err[g.idx] = g.err_scale * (g.tilde_abs + np.sqrt(quad)) ** 2
             elif mtt is not None:
                 b = np.einsum("sir,sir->sr", g.u[-1], mtt[i])
-            else:  # at the start and after a swap
+            else:  # at the start
                 b = self._raw_linear(g)
             staged.append(b)
             res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + quad
@@ -652,18 +664,13 @@ class _Apg:
 
     # -- one iteration with restart ------------------------------------------
 
-    def _refresh_grams(self):
-        """After the factors changed outside a mode update."""
-        for g in self.groups:
-            for n in range(self.N):
-                g.refresh(n)
-
     def _restore_previous(self):
         """Current iterate := previous one."""
         for g in self.groups:
             for dst, src in zip(*g.arrays()):
                 dst[...] = src
-        self._refresh_grams()
+            for n in range(self.N):
+                g.refresh(n)
 
     def _step(self, obj_last):
         """One extrapolated sweep, redone plainly if the objective rises."""
@@ -678,167 +685,13 @@ class _Apg:
             step = self._evaluate(mtt=self._sweep(0.0))
         return step
 
-    # -- escape from a dead shared slot ---------------------------------------
-
-    def _escape(self, obj_last):
-        """Swap a shared component held by individual slots into a dead
-        shared slot; see the module docstring.
-
-        Returns the evaluation of the accepted iterate, or ``None`` when
-        there is no candidate (nothing changed) or no strict decrease (only
-        the factors and weights are restored to the pre-escape iterate); on
-        ``None`` the caller stops.
-        """
-        found = self._escape_candidate()
-        if found is None:
-            return None
-        saved = [[a.copy() for a in g.arrays()[0]] for g in self.groups]
-        self._swap(*found)
-        # the swap breaks the momentum of every block: the sweeps below and
-        # the first step after a kept escape extrapolate by w_hat = 0, which
-        # no previous iterate or step bound can change
-        self.t_k = 1.0
-        self.b = self._evaluate()[-1]
-        for _ in range(ESCAPE_SWEEPS):
-            step = self._evaluate(obj_last, self._sweep(0.0))
-            if step[0] < obj_last:
-                return step
-            self.b = step[-1]
-        for g, arrays in zip(self.groups, saved):
-            for dst, src in zip(g.arrays()[0], arrays):
-                dst[...] = src
-        return None
-
-    def _escape_candidate(self):
-        """First shared slot dead in some block whose component individual
-        slots of two or more blocks hold: ``(slot, coupled modes, {block:
-        individual slot})``."""
-        free = max(self.counts)
-        if any(self.p.ranks[s] <= free for s in range(self.S)):
-            return None
-        for r in range(free):
-            weights = [b.weights[r] for b in self.curr]
-            if min(weights) > 0.0:
-                continue
-            modes = [n for n in range(self.N) if r < self.counts[n]]
-            match = self._match_individual(modes, free)
-            if len(match) >= 2:
-                return r, modes, match
-        return None
-
-    def _match_individual(self, modes, free):
-        """Largest set of blocks whose live individual slots agree in
-        ``modes`` with one anchor slot among them (product of per-mode
-        cosines at least ``ESCAPE_AGREEMENT``), as ``{block: slot}``; of
-        equal sets the most agreeing, then the first, is kept.
-        """
-        units = []
-        for b in self.curr:
-            cols = [b.factors[n][:, free:] for n in modes]
-            units.append([c / np.maximum(np.linalg.norm(c, axis=0), 1e-300) for c in cols])
-        best, best_key = {}, (0, 0.0)
-        for a in range(self.S):
-            for i in np.flatnonzero(self.curr[a].weights[free:] > 0.0):
-                group, total = {a: free + i}, 0.0
-                for c in range(self.S):
-                    if c == a:
-                        continue
-                    agree = np.ones(units[c][0].shape[1])
-                    for ua, uc in zip(units[a], units[c]):
-                        agree *= ua[:, i] @ uc
-                    agree[self.curr[c].weights[free:] <= 0.0] = 0.0
-                    j = int(np.argmax(agree))
-                    if agree[j] >= ESCAPE_AGREEMENT:
-                        group[c] = free + j
-                        total += agree[j]
-                if (len(group), total) > best_key:
-                    best, best_key = group, (len(group), total)
-        return best
-
-    def _swap(self, r, modes, match):
-        """Move the matched component into shared slot ``r``, and the slot's
-        old content into each matched block's vacated slot."""
-        norms = {s: [np.linalg.norm(self.curr[s].factors[n][:, j]) for n in range(self.N)]
-                 for s, j in match.items()}
-        shared = {}
-        for n in modes:
-            # mean direction at the matched columns' geometric-mean length
-            size = np.exp(np.mean([np.log(norms[s][n]) for s in match]))
-            mean = sum(self.curr[s].factors[n][:, j] / norms[s][n] for s, j in match.items())
-            shared[n] = mean * (size / np.linalg.norm(mean))
-        for s in range(self.S):
-            facs, lam = self.curr[s].factors, self.curr[s].weights
-            if s not in match:
-                # no vacated slot to take the old content: it is replaced
-                for n in modes:
-                    facs[n][:, r] = shared[n]
-                continue
-            j = match[s]
-            scale, dead = lam[j], lam[r] == 0.0
-            lam[j] = lam[r]
-            for n in range(self.N):
-                old = facs[n][:, r].copy()
-                if n in modes:
-                    scale *= norms[s][n] / np.linalg.norm(shared[n])
-                    facs[n][:, r] = shared[n]
-                else:
-                    facs[n][:, r] = facs[n][:, j]
-                facs[n][:, j] = old
-            lam[r] = scale
-            if dead:
-                self._reseed(s, j)
-        self._refresh_grams()
-
-    def _reseed(self, s, j):
-        """Fill dead individual slot ``j`` of block ``s`` with a nonnegative
-        rank-1 fit of the block's residual against the data the mode
-        iterates on: the raw tensor, or the compressed model in lra mode."""
-        blk = self.curr[s]
-        data = self.p.tensors[s] if self.tilde is None else reconstruct(self.tilde[s])
-        cols, sigma = _rank1_nonnegative(data - reconstruct(blk))
-        if sigma == 0.0:
-            # nothing positive left to fit: the slot keeps the moved columns
-            return
-        for n, col in enumerate(cols):
-            # at the slot's usual column length, so step sizes stay balanced
-            length = float(np.mean(np.linalg.norm(blk.factors[n], axis=0)))
-            blk.factors[n][:, j] = col[:, 0] * length
-            sigma /= length
-        blk.weights[j] = sigma
-
-
-def _rank1_nonnegative(tensor):
-    """Unit nonnegative columns and scale of a rank-1 fit by 10 projected
-    power sweeps; a zero scale when the tensor has no positive direction.
-
-    Starts from the mode sums of the positive part, so it draws nothing.
-    """
-    # C order keeps every MTTKRP of the power sweeps copy-free
-    tensor = np.ascontiguousarray(tensor)
-    pos = np.maximum(tensor, 0.0)
-    cols = []
-    for n in range(tensor.ndim):
-        v = matricize(pos, n).sum(axis=1, keepdims=True)
-        cols.append(v / max(np.linalg.norm(v), 1e-300))
-    for _ in range(10):
-        for n in range(tensor.ndim):
-            v = np.maximum(mttkrp(tensor, cols, n), 0.0)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                return cols, 0.0
-            cols[n] = v / norm
-    return cols, max(float(core_linear_term(tensor, cols)[0]), 0.0)
-
-
 def solve(problem, opts=None):
     """Run the coupled decomposition; see the module docstring.
 
     Stops when the original-tensor relative error changes by less than
     ``opts.tol`` between iterations ("tolerance"), in lra mode also when
     the compressed-model relative error does, or after ``opts.max_iter``
-    iterations ("max_iterations").  Before stopping by tolerance with
-    iterations left, it tries one escape from a dead shared slot and
-    carries on if the escape is kept.
+    iterations ("max_iterations").
     """
     opts = opts if opts is not None else SolverOptions()
     problem.validate()
@@ -865,27 +718,16 @@ def solve(problem, opts=None):
 
     termination = "max_iterations"
     row = trace[0]
-    stalled = False
     for k in range(1, opts.max_iter + 1):
         state._iter_tag = k
-        if stalled:
-            step = state._escape(obj_history[-1])
-            if step is None:
-                # nothing to escape to, or no strict decrease: stop as is
-                termination = "tolerance"
-                break
-            state.n_escapes += 1
-        else:
-            step = state._step(obj_history[-1])
-        obj, new_fit, model_sq, state.b = step
+        obj, new_fit, model_sq, state.b = state._step(obj_history[-1])
         obj_orig, new_rel = state._report(obj, new_fit, model_sq)
         obj_history.append(obj)
         rel_history.append(new_rel)
         row = TraceRow(k, obj_orig, new_rel, time.perf_counter() - t0)
         if k % opts.trace_every == 0:
             trace.append(row)
-        stalled = abs(new_rel - rel_err) < opts.tol or abs(new_fit - rel_fit) < opts.tol
-        if stalled and (k == opts.max_iter or not state.can_escape):
+        if abs(new_rel - rel_err) < opts.tol or abs(new_fit - rel_fit) < opts.tol:
             termination = "tolerance"
             break
         rel_err, rel_fit = new_rel, new_fit
@@ -900,7 +742,6 @@ def solve(problem, opts=None):
         rel_err_history=rel_history,
         n_iter=len(obj_history) - 1,
         n_restarts=state.n_restarts,
-        n_escapes=state.n_escapes,
         solve_seconds=time.perf_counter() - t0,
         compress_seconds=compress_seconds,
         compression=tilde,

@@ -413,8 +413,8 @@ def test_objective_never_increases_across_all_runs():
     1e-10 relative — the restart safeguard at work.  Starts with its own
     noisy run chosen to trigger restarts, then sweeps the registry."""
     problem, _ = coupled_problem(SynthSpec(n_blocks=2, size_factor=1,
-                                           snr_db=10.0, seed=4))
-    result = tracked_solve(problem, SolverOptions(seed=4), "restart probe")
+                                           snr_db=10.0, seed=1))
+    result = tracked_solve(problem, SolverOptions(seed=1), "restart probe")
     assert result.n_restarts > 0
 
     assert HISTORIES

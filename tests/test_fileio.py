@@ -165,6 +165,21 @@ def test_model_reader_rejects_bad_files(tmp_path):
         load_model(path)
 
 
+def test_model_reader_names_the_file_on_header_errors(tmp_path):
+    path = tmp_path / "m.kt"
+    # int() fails: the error is re-worded as an unparseable header
+    path.write_text("order: 1\nrank: two\ndims: 2\nlambda: 1 1\nfactor 0:\n1 2\n1 2\n")
+    with pytest.raises(ValueError, match="unparseable header") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    # the header reader's own error already names the file and passes as is
+    path.write_text("order: 1\nrank: 2\ndims: 2\nfactor 0:\n1 2\n1 2\n")
+    with pytest.raises(ValueError, match="expected 'lambda:' line") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "unparseable" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # coupled sets + manifest
 

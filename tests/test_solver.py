@@ -1,7 +1,5 @@
 """Behavioral tests for the coupled solver: identities, invariants, plumbing."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -153,6 +151,70 @@ def test_init_shares_common_prefix_and_is_deterministic():
             )
     c = init_factors(prob, seed=10)
     assert not np.array_equal(a.blocks[0].factors[0], c.blocks[0].factors[0])
+
+
+def uniform_draws(problem, seed):
+    """The draws :func:`init_factors` makes, in its order: the shared prefix
+    by mode, then per block the individual columns by mode and the weights."""
+    rng = np.random.default_rng(seed)
+    counts, dims0 = problem.coupled_counts, problem.tensors[0].shape
+    common = [rng.random((dims0[n], counts[n])) for n in range(problem.order)]
+    blocks = []
+    for t, rank in zip(problem.tensors, problem.ranks):
+        ind = [rng.random((t.shape[n], rank - counts[n])) for n in range(problem.order)]
+        blocks.append((ind, rng.random(rank) if problem.update_core else np.ones(rank)))
+    return common, blocks
+
+
+@pytest.mark.parametrize("update_core", [True, False])
+def test_init_keeps_the_draws_and_the_shared_lengths(update_core):
+    prob = uncoupled_mode_problem("full", three_blocks=True)
+    prob.update_core = update_core
+    start = init_factors(prob, seed=9)
+    common, drawn = uniform_draws(prob, seed=9)
+    for blk, (ind, lam) in zip(start.blocks, drawn):
+        np.testing.assert_array_equal(blk.weights, lam)
+        for n, ln in enumerate(prob.coupled_counts):
+            np.testing.assert_array_equal(blk.factors[n][:, ln:], ind[n])
+            np.testing.assert_allclose(np.linalg.norm(blk.factors[n][:, :ln], axis=0),
+                                       np.linalg.norm(common[n], axis=0), rtol=1e-12)
+            if ln:
+                assert not np.array_equal(blk.factors[n][:, :ln], common[n])
+
+
+def test_init_points_shared_columns_along_the_block_mean_fit():
+    # blocks 0 and 1 share block 0's dims; block 2 differs in mode 2 and is
+    # left out.  Block 1 is 1e3 times larger, so a plain sum would be its fit
+    prob = uncoupled_mode_problem("full", three_blocks=True)
+    prob.tensors[1] = prob.tensors[1] * 1e3
+    start = init_factors(prob, seed=3)
+    mean = sum(t / np.linalg.norm(t) for t in prob.tensors[:2])
+    fit = cpd_als(mean, max(prob.coupled_counts), AlsOptions(seed=3)).model
+    for n, ln in enumerate(prob.coupled_counts):
+        for r in range(ln):
+            got, want = start.blocks[0].factors[n][:, r], np.abs(fit.factors[n][:, r])
+            np.testing.assert_allclose(got / np.linalg.norm(got),
+                                       want / np.linalg.norm(want), rtol=1e-9)
+
+
+def test_init_keeps_draws_past_the_fit_rank_and_without_direction():
+    # 2 x 3 blocks admit a rank-2 ALS fit at most: shared column 2 keeps its
+    # draw, and the problem solves as before
+    rng = np.random.default_rng(0)
+    prob = CoupledProblem([rng.random((2, 3))] * 2, 3, [3, 3])
+    start = init_factors(prob, seed=0)
+    common, _ = uniform_draws(prob, seed=0)
+    for n in range(2):
+        np.testing.assert_array_equal(start.blocks[0].factors[n][:, 2], common[n][:, 2])
+        assert not np.array_equal(start.blocks[0].factors[n][:, :2], common[n][:, :2])
+    res = solve(prob, SolverOptions(seed=0))
+    assert res.termination_reason == "tolerance"
+    # zero tensors give every fitted column norm 0
+    prob = CoupledProblem([np.zeros((4, 5, 6))] * 2, 3, [1, 1, 1])
+    start = init_factors(prob, seed=7)
+    common, _ = uniform_draws(prob, seed=7)
+    for n in range(3):
+        np.testing.assert_array_equal(start.blocks[1].factors[n][:, :1], common[n])
 
 
 def test_init_fixed_core_uses_unit_weights():
@@ -430,143 +492,6 @@ def test_non_finite_objectives_name_the_block():
         state._evaluate()
 
 
-# --- solve: escape from a dead shared slot -------------------------------------------
-
-
-def dead_slot_trap(update_core=True, counts=(1, 1, 1), mode="full"):
-    """Three blocks whose shared component ``a`` sits in individual slot 1,
-    while shared slot 0 holds block 2's own component ``b_2``, switched off
-    (weight exactly 0) in blocks 0 and 1.
-
-    Blocks 0 and 1 miss their component ``c_s``; it shares no support with
-    ``b_2``, and slot 2 overshoots ``b_s``, so the core gradient at the dead
-    weights is strictly positive and no projected step revives them.
-    Returns the problem and the trap as a starting point.
-    """
-    rng = np.random.default_rng(40)
-    dims = (6, 7, 8)
-    a = [rng.uniform(0.5, 1.0, d) for d in dims]
-    b = [[rng.uniform(0.5, 1.0, d) for d in dims] for _ in range(3)]
-    for vec in b[2]:
-        vec[3:] = 0.0
-    c = [[np.where(np.arange(d) >= 3, rng.uniform(0.5, 1.0, d), 0.0) for d in dims]
-         for _ in range(3)]
-
-    def stack(*cols):
-        return [np.column_stack([col[n] for col in cols]) for n in range(3)]
-
-    tensors = [reconstruct(KruskalTensor(stack(a, b[s], c[s]), np.ones(3)))
-               for s in range(3)]
-    trap = [KruskalTensor(stack(b[2], a, b[s]), [0.0, 1.0, 1.2]) for s in range(2)]
-    trap.append(KruskalTensor(stack(b[2], a, c[2]), [1.0, 1.0, 1.0]))
-    problem = CoupledProblem(tensors, 3, list(counts), mode=mode,
-                             update_core=update_core)
-    return problem, a, CoupledFactorSet(trap, list(counts))
-
-
-def solve_from(monkeypatch, problem, start, opts):
-    monkeypatch.setattr(solver_module, "init_factors",
-                        lambda prob, seed: CoupledFactorSet(
-                            [b.copy() for b in start.blocks], start.coupled_counts))
-    return solve(problem, opts)
-
-
-def congruence(cols, ref):
-    return float(np.prod([u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-                          for u, v in zip(cols, ref)]))
-
-
-@pytest.mark.parametrize("mode", ["full", "lra"])
-def test_escape_moves_shared_component_into_dead_shared_slot(monkeypatch, mode):
-    problem, a, start = dead_slot_trap(mode=mode)
-    # a coarse tolerance stalls every iteration, so the escape is tried at once
-    opts = SolverOptions(max_iter=10, tol=1.0, seed=0)
-    res = solve_from(monkeypatch, problem, start, opts)
-    assert res.n_escapes == 1
-    assert res.termination_reason == "tolerance"
-    assert len(res.objective_history) == res.n_iter + 1
-    assert (np.diff(res.objective_history) <= 0.0).all()
-    blocks = res.factors.blocks
-    for blk in blocks:
-        assert blk.weights[0] > 0.0
-        assert congruence([f[:, 0] for f in blk.factors], a) > 0.99
-        for n in range(3):
-            np.testing.assert_array_equal(blk.factors[n][:, :1],
-                                          blocks[0].factors[n][:, :1])
-    again = solve_from(monkeypatch, problem, start, opts)
-    assert again.objective_history == res.objective_history
-
-
-def test_escape_swap_discards_products_of_the_last_sweep(monkeypatch):
-    problem, _, start = dead_slot_trap()
-    monkeypatch.setattr(solver_module, "init_factors",
-                        lambda prob, seed: CoupledFactorSet(
-                            [b.copy() for b in start.blocks], start.coupled_counts))
-    state = solver_module._Apg(problem, SolverOptions(seed=0), None)
-    obj, *_, state.b = state._evaluate()
-    state._step(obj)
-    found = state._escape_candidate()
-    assert found is not None
-    state._swap(*found)
-    assert_staged_terms_exact(state, state._evaluate()[-1])
-    # the escape's own sweeps stage the terms of the iterate it accepts
-    state = solver_module._Apg(problem, SolverOptions(seed=0), None)
-    obj, *_, state.b = state._evaluate()
-    step = state._escape(obj)
-    assert step is not None
-    assert_staged_terms_exact(state, step[-1])
-
-
-@pytest.mark.parametrize("mode", ["full", "lra"])
-def test_rejected_escape_leaves_the_solve_as_without_it(monkeypatch, mode):
-    # at the default tolerance the trap's escape is tried once and rejected;
-    # the run then ends exactly where it would have with no candidate
-    problem, _, start = dead_slot_trap(mode=mode)
-    swaps, swap = [], solver_module._Apg._swap
-    monkeypatch.setattr(solver_module._Apg, "_swap",
-                        lambda self, *found: swaps.append(1) or swap(self, *found))
-    tried = solve_from(monkeypatch, problem, start, SolverOptions())
-    assert (len(swaps), tried.n_escapes) == (1, 0)
-    monkeypatch.setattr(solver_module._Apg, "_escape_candidate", lambda self: None)
-    plain = solve_from(monkeypatch, problem, start, SolverOptions())
-    assert len(swaps) == 1
-    for a, b in zip(tried.factors.blocks, plain.factors.blocks):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        for fa, fb in zip(a.factors, b.factors):
-            np.testing.assert_array_equal(fa, fb)
-    assert tried.objective_history == plain.objective_history
-    assert tried.rel_err_history == plain.rel_err_history
-    assert ([replace(r, elapsed_s=0.0) for r in tried.trace]
-            == [replace(r, elapsed_s=0.0) for r in plain.trace])
-    assert ((tried.n_iter, tried.n_restarts, tried.termination_reason)
-            == (plain.n_iter, plain.n_restarts, plain.termination_reason))
-
-
-def test_fixed_core_and_uncoupled_problems_never_escape(monkeypatch):
-    opts = SolverOptions(max_iter=10, tol=1.0, seed=0)
-    problem, _, start = dead_slot_trap(update_core=False)
-    res = solve_from(monkeypatch, problem, start, opts)
-    assert res.n_escapes == 0
-    assert res.n_iter == 1
-    np.testing.assert_array_equal(res.factors.blocks[0].weights, [0.0, 1.0, 1.2])
-    problem, _, start = dead_slot_trap(counts=(0, 0, 0))
-    res = solve_from(monkeypatch, problem, start, opts)
-    assert res.n_escapes == 0
-    assert res.n_iter == 1
-
-
-def test_rank1_nonnegative_fit_recovers_rank_one_tensor():
-    rng = np.random.default_rng(41)
-    vecs = [rng.random(d) for d in (4, 5, 6)]
-    tensor = 2.5 * np.einsum("i,j,k->ijk", *vecs)
-    cols, sigma = solver_module._rank1_nonnegative(tensor - 0.01)
-    assert sigma > 0.0
-    fit = reconstruct(KruskalTensor(cols, [sigma]))
-    assert np.linalg.norm(fit - tensor) < 0.1 * np.linalg.norm(tensor)
-    _, sigma = solver_module._rank1_nonnegative(-tensor)
-    assert sigma == 0.0
-
-
 @pytest.mark.parametrize("mode", ["full", "lra"])
 @pytest.mark.parametrize("dims,counts", [((6, 7), (2, 1)), ((4, 5, 3, 6), (2, 1, 0, 2))],
                          ids=["order2", "order4"])
@@ -620,35 +545,27 @@ PINNED_SOLVES = {
                    SolverOptions(max_iter=300, seed=4)),
 }
 
-# (n_iter, n_restarts, n_escapes, final rel_err) of each solve, recorded
-# before the iteration ran on stacked blocks; every one ends by tolerance.
-# "lra", "lra-noisy" and "stacks-lra" were re-recorded when the lra stopping
-# rule began to watch the compressed models' relative error as well
+# (n_iter, n_restarts, final rel_err) of each solve; every one ends by
+# tolerance.  Re-recorded when the shared columns began to start from the
+# block-mean tensor's ALS fit
 PINNED_OUTCOMES = {
-    "full": (226, 4, 0, 0.23987088143052215),
-    "lra": (222, 0, 0, 0.09500239127006796),
-    "lra-noisy": (299, 1, 0, 0.2542595553576327),
-    "fixed-core": (297, 0, 0, 0.10619176388850211),
-    "ranks-full": (95, 0, 0, 0.4216697770100976),
-    "ranks-lra": (117, 2, 0, 0.4299137130561075),
-    "stacks-full": (102, 0, 0, 0.4216062193874977),
-    "stacks-lra": (140, 1, 0, 0.4350481443805391),
-    "escape-full": (2, 0, 1, 0.04993424482494846),
-    "escape-lra": (2, 0, 1, 0.04989810950433821),
+    "full": (131, 2, 0.24019250693014027),
+    "lra": (125, 2, 0.09841898178485622),
+    "lra-noisy": (304, 4, 0.2532450662070991),
+    "fixed-core": (145, 0, 0.09851157433780637),
+    "ranks-full": (192, 1, 0.42106975322753143),
+    "ranks-lra": (123, 3, 0.4299139233961916),
+    "stacks-full": (290, 1, 0.42298624382507183),
+    "stacks-lra": (209, 1, 0.43505544226676607),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTCOMES))
-def test_pinned_solve_outcomes(monkeypatch, name):
-    if name.startswith("escape-"):
-        problem, _, start = dead_slot_trap(mode=name.split("-")[1])
-        res = solve_from(monkeypatch, problem, start,
-                         SolverOptions(max_iter=10, tol=1.0, seed=0))
-    else:
-        make, opts = PINNED_SOLVES[name]
-        res = solve(make(), opts)
-    n_iter, n_restarts, n_escapes, rel = PINNED_OUTCOMES[name]
-    assert (res.n_iter, res.n_restarts, res.n_escapes) == (n_iter, n_restarts, n_escapes)
+def test_pinned_solve_outcomes(name):
+    make, opts = PINNED_SOLVES[name]
+    res = solve(make(), opts)
+    n_iter, n_restarts, rel = PINNED_OUTCOMES[name]
+    assert (res.n_iter, res.n_restarts) == (n_iter, n_restarts)
     assert res.termination_reason == "tolerance"
     assert res.rel_err_history[-1] == pytest.approx(rel, rel=1e-9)
     assert (np.diff(res.objective_history) <= 0.0).all()
@@ -694,19 +611,14 @@ def test_lra_trace_reports_original_tensor_quantities():
     assert res.objective_history[-1] != pytest.approx(want_obj, rel=1e-3)
 
 
-@pytest.mark.parametrize("case", ["lra-noisy", "escape-rejected"])
+@pytest.mark.parametrize("case", ["lra-noisy", "stacks-lra"])
 def test_lra_reads_the_raw_tensors_once_per_recorded_iterate(monkeypatch, case):
-    # evaluations that a restart rejects and escape sweeps fit the
-    # compressed models only; the report reads each raw tensor once
-    if case == "lra-noisy":
-        make, opts = PINNED_SOLVES[case]
-        problem, start = make(), None
-    else:
-        # the escape is tried, and rejected after ESCAPE_SWEEPS sweeps
-        problem, _, start = dead_slot_trap(mode="lra")
-        opts = SolverOptions()
-    raw, swaps = [], []
-    linear, swap = solver_module.core_linear_term, solver_module._Apg._swap
+    # evaluations that a restart rejects fit the compressed models only;
+    # the report reads each raw tensor once
+    make, opts = PINNED_SOLVES[case]
+    problem = make()
+    raw = []
+    linear = solver_module.core_linear_term
 
     def counted(tensor, factors):
         if any(tensor is t for t in problem.tensors):
@@ -714,14 +626,8 @@ def test_lra_reads_the_raw_tensors_once_per_recorded_iterate(monkeypatch, case):
         return linear(tensor, factors)
 
     monkeypatch.setattr(solver_module, "core_linear_term", counted)
-    monkeypatch.setattr(solver_module._Apg, "_swap",
-                        lambda self, *found: swaps.append(1) or swap(self, *found))
-    if start is None:
-        res = solve(problem, opts)
-        assert res.n_restarts == PINNED_OUTCOMES[case][1] > 0
-    else:
-        res = solve_from(monkeypatch, problem, start, opts)
-        assert (len(swaps), res.n_escapes) == (1, 0)
+    res = solve(problem, opts)
+    assert res.n_restarts == PINNED_OUTCOMES[case][1] > 0
     assert len(raw) == problem.n_blocks * (res.n_iter + 1)
 
 
