@@ -34,8 +34,10 @@ def main():
 
     ratio = (full.solve_seconds / full.n_iter) / (lra.solve_seconds / lra.n_iter)
     print(f"\nper-iteration speedup: {ratio:.1f}x")
-    print("compression ranks per block:",
-          [c.rank for c in lra.compression])
+    print("per block compression: rank, ALS sweeps, relerr, converged")
+    for s, c in enumerate(lra.compression):
+        print(f"  block {s}: {c.model.rank:3d} {c.n_iter:4d} {c.rel_err:.2e} "
+              f"{c.converged}")
     gap = abs(full.trace[-1].rel_err - lra.trace[-1].rel_err)
     print(f"fit difference between the two solutions: {gap:.2e}")
 

@@ -202,20 +202,45 @@ def hadamard_gram(mats, skip=None):
     return out
 
 
-def spectral_norm(g):
-    """Largest eigenvalue of a symmetric PSD matrix.
+# the least entry of a warm start relative to its largest: it keeps the
+# start positive on rows that are zero now and may not be at the next call
+_PERRON_FLOOR = 1e-12
 
-    Solved exactly: the matrices this is used on are rank-by-rank gram
-    products, small enough that an iterative bound would save nothing while
-    an underestimate would oversize the proximal steps that divide by it.
-    Returns 0.0 for the zero matrix.  A stack of shape ``(..., R, R)`` gives
-    the array of its matrices' norms from one batched LAPACK call, each
-    bit-identical to the norm of that matrix alone; a single matrix gives a
-    ``float``.
+
+def spectral_norm(g, start=None):
+    """Largest eigenvalue of a symmetric PSD matrix, or an upper bound on it.
+
+    Without ``start`` it is solved exactly by LAPACK: a stack of shape
+    ``(..., R, R)`` gives its matrices' norms from one batched call, each
+    bit-identical to the norm of that matrix alone.
+
+    With ``start``, a strictly positive ``(..., R)`` array, the matrices
+    must also be entrywise nonnegative.  For such a ``G`` and any positive
+    ``x`` the Collatz-Wielandt ratio ``max_i (G x)_i / x_i`` bounds the norm
+    from above, and equals it at the Perron vector (Horn & Johnson, *Matrix
+    Analysis*, 2nd ed., section 8.1).  One power step ``y = G start`` is
+    taken and the ratio of ``G y`` over ``y`` returned, rows where ``y`` is
+    0 (zero rows of ``G``) left out; ``G y``, scaled to a maximum of 1 and
+    floored at ``_PERRON_FLOOR``, is written back into ``start``.  That is
+    two batched matrix-vector products and no LAPACK call, and a caller that
+    carries ``start`` across calls on slowly changing matrices keeps the
+    bound close to the norm.  Proximal steps divide by the result, so a
+    bound above the norm only shortens them.
+
+    Returns 0.0 for the zero matrix, whose ``start`` is left as it was; a
+    single matrix gives a ``float``.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {g.shape}")
-    top = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
-    top = np.where(g.any(axis=(-2, -1)), top, 0.0)
+    if start is None:
+        top = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
+        top = np.where(g.any(axis=(-2, -1)), top, 0.0)
+    else:
+        y = (g @ start[..., None])[..., 0]
+        z = (g @ y[..., None])[..., 0]
+        top = np.divide(z, y, out=np.zeros_like(y), where=y > 0.0).max(axis=-1)
+        scale = z.max(axis=-1, keepdims=True)
+        np.divide(z, scale, out=start, where=scale > 0.0)
+        np.maximum(start, _PERRON_FLOOR, out=start)
     return float(top) if g.ndim == 2 else top

@@ -108,6 +108,29 @@ def test_lipschitz_factor_matches_dense_gram():
             want, rel=1e-10)
 
 
+@pytest.mark.parametrize("case", ["full", "lra-noisy", "fixed-core", "ranks-full",
+                                  "stacks-lra"])
+def test_one_step_bound_per_update_and_group(monkeypatch, case):
+    # every step bound goes through ``solver.spectral_norm``, one batched
+    # call per group, variable and iteration, a redone iteration included;
+    # growing a start from ones at the first update is no step bound
+    make, opts = PINNED_SOLVES[case]
+    problem = make()
+    calls = []
+    bound = solver_module.spectral_norm
+
+    def counted(g, start=None):
+        calls.append(start is not None)
+        return bound(g, start)
+
+    monkeypatch.setattr(solver_module, "spectral_norm", counted)
+    res = solve(problem, opts)
+    groups = len({(t.shape, r) for t, r in zip(problem.tensors, problem.ranks)})
+    per_iter = (problem.update_core + problem.order) * groups
+    assert res.n_iter > 0 and all(calls)
+    assert len(calls) == per_iter * (res.n_iter + res.n_restarts)
+
+
 # --- momentum schedule ------------------------------------------------------------
 
 
@@ -257,8 +280,13 @@ def test_objective_history_monotone_lra_mode():
     assert_monotone(res.objective_history)
     assert res.compress_seconds > 0.0
     assert len(res.compression) == prob.n_blocks
-    for tilde, rank in zip(res.compression, prob.ranks):
-        assert tilde.rank <= rank
+    for s, (als, rank) in enumerate(zip(res.compression, prob.ranks)):
+        assert als.model.rank <= rank
+        # each block's compression as cpd_als returns it for the block
+        want = cpd_als(prob.tensors[s], rank, AlsOptions(seed=s))
+        assert (als.rel_err, als.n_iter, als.converged) == (
+            want.rel_err, want.n_iter, want.converged)
+        assert 0.0 < als.rel_err < 1.0 and als.n_iter > 0
 
 
 def test_common_columns_stay_bit_identical():
@@ -546,17 +574,17 @@ PINNED_SOLVES = {
 }
 
 # (n_iter, n_restarts, final rel_err) of each solve; every one ends by
-# tolerance.  Re-recorded when the shared columns began to start from the
-# block-mean tensor's ALS fit
+# tolerance.  Re-recorded when the step bounds began to come from
+# warm-started Perron bounds
 PINNED_OUTCOMES = {
-    "full": (131, 2, 0.24019250693014027),
-    "lra": (125, 2, 0.09841898178485622),
-    "lra-noisy": (304, 4, 0.2532450662070991),
-    "fixed-core": (145, 0, 0.09851157433780637),
-    "ranks-full": (192, 1, 0.42106975322753143),
-    "ranks-lra": (123, 3, 0.4299139233961916),
-    "stacks-full": (290, 1, 0.42298624382507183),
-    "stacks-lra": (209, 1, 0.43505544226676607),
+    "full": (131, 2, 0.240192493839179),
+    "lra": (130, 1, 0.09841927715291923),
+    "lra-noisy": (288, 4, 0.25324954922718157),
+    "fixed-core": (228, 0, 0.09850660290664495),
+    "ranks-full": (166, 0, 0.42107098186084047),
+    "ranks-lra": (123, 3, 0.42991393505551556),
+    "stacks-full": (290, 1, 0.42298624251455713),
+    "stacks-lra": (129, 1, 0.43495717151854363),
 }
 
 

@@ -323,3 +323,81 @@ def test_spectral_norm_stack_matches_each_matrix_bitwise():
 def test_spectral_norm_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         spectral_norm(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# warm-started spectral norm: an upper bound, whatever the start
+# ---------------------------------------------------------------------------
+
+
+def gram_surrogates(seed, dead=(), zero_weights=(), size=4, dims=(5, 7, 6), rank=6):
+    """The stacks a solver takes step bounds of, from nonnegative factor
+    stacks ``(size, I_n, rank)``: the Hadamard product of all grams, then per
+    mode that of the other grams times ``lam lam^T``.  Columns ``dead`` of
+    the first mode's factors and weights ``zero_weights`` are 0."""
+    rng = np.random.default_rng(seed)
+    facs = [rng.random((size, d, rank)) ** 3 for d in dims]
+    facs[0][:, :, list(dead)] = 0.0
+    lam = rng.random((size, rank))
+    lam[:, list(zero_weights)] = 0.0
+    outer = lam[:, :, None] * lam[:, None, :]
+    return [hadamard_gram(facs)] + [hadamard_gram(facs, skip=n) * outer
+                                    for n in range(len(dims))]
+
+
+def assert_upper_bound(got, g):
+    want = np.linalg.eigvalsh(g)[..., -1]
+    assert np.all(got >= want * (1.0 - 1e-13)), f"{got} below the norms {want}"
+
+
+@pytest.mark.parametrize("dead,zero_weights", [((), ()), ((), (1, 4)), ((0, 3), ()),
+                                               ((2,), (2, 5))],
+                         ids=["live", "zero-weights", "dead-columns", "both"])
+def test_warm_spectral_norm_bounds_the_norm_from_above(dead, zero_weights):
+    for seed in range(6):
+        for g in gram_surrogates(seed, dead, zero_weights):
+            start = np.random.default_rng(seed).uniform(0.1, 1.0, g.shape[:-1])
+            for _ in range(3):  # the start carried from call to call
+                got = spectral_norm(g, start)
+                assert got.shape == g.shape[:-2]
+                assert_upper_bound(got, g)
+                assert np.all(start > 0.0) and np.all(np.isfinite(start))
+
+
+def test_warm_spectral_norm_of_a_zero_matrix_is_zero_and_keeps_its_start():
+    g = gram_surrogates(1)[0]
+    g[2] = 0.0
+    start = np.random.default_rng(1).uniform(0.1, 1.0, g.shape[:-1])
+    kept = start[2].copy()
+    got = spectral_norm(g, start)
+    assert got[2] == 0.0
+    np.testing.assert_array_equal(start[2], kept)
+    assert_upper_bound(got, g)
+    single = np.ones(3)
+    assert spectral_norm(np.zeros((3, 3)), single) == 0.0
+    np.testing.assert_array_equal(single, np.ones(3))
+    matrix = g[0]
+    assert isinstance(spectral_norm(matrix, np.ones(6)), float)
+    assert_upper_bound(spectral_norm(matrix, np.ones(6)), matrix)
+
+
+def test_warm_spectral_norm_when_a_zero_row_comes_alive():
+    # a dead column leaves zero rows; the start must still bound the norm
+    # once the column carries weight again
+    for seed in range(4):
+        for dead, alive in zip(gram_surrogates(seed, dead=(2,), zero_weights=(4,)),
+                               gram_surrogates(seed)):
+            start = np.ones(dead.shape[:-1])
+            for _ in range(20):
+                assert_upper_bound(spectral_norm(dead, start), dead)
+            assert np.all(start > 0.0)
+            assert_upper_bound(spectral_norm(alive, start), alive)
+
+
+def test_warm_spectral_norm_converges_to_the_norm():
+    for g in gram_surrogates(3, dead=(1,)) + gram_surrogates(4, zero_weights=(0, 5)):
+        start = np.ones(g.shape[:-1])
+        for _ in range(100):
+            got = spectral_norm(g, start)
+            assert_upper_bound(got, g)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(g)[:, -1], rtol=1e-11)
