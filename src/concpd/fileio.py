@@ -230,7 +230,9 @@ def load_coupled(manifest_path):
 
     File names in the manifest are resolved relative to its directory.  The
     problem carries the stored data only, so its solver settings (``mode``,
-    ``update_core``, ``als_options``) are the defaults.
+    ``update_core``, ``als_options``) are the defaults.  The blocks are read
+    one by one and written once into the problem's stacks, one per group of
+    blocks with the same dims and rank (see ``CoupledProblem``).
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent

@@ -220,7 +220,8 @@ def add_noise(t, snr_db=None, kind="gaussian", density=0.1, seed=0):
             raise ValueError("gaussian noise needs a finite snr_db")
         p_s = float(np.mean(t * t))
         sigma = np.sqrt(p_s / 10.0 ** (snr_db / 10.0))
-        return np.maximum(t + rng.normal(0.0, sigma, t.shape), 0.0)
+        noisy = t + rng.normal(0.0, sigma, t.shape)
+        return np.maximum(noisy, 0.0, out=noisy)
     if kind == "saltpepper":
         if not 0.0 <= density <= 1.0:
             raise ValueError(f"density must lie in [0, 1], got {density}")

@@ -12,12 +12,13 @@ larger ``L`` keeps the majorization.  If the objective fails to decrease
 the iteration is redone from the non-extrapolated points, which restores
 the majorization-minimization descent guarantee.
 
-Blocks that share their dims and rank form a group, held as stacks: per
-mode one ``(S, I_n, R)`` factor array, the weights as ``(S, R)`` and the
-grams and cross-grams as ``(S, R, R)`` stacks.  Each update is then a few
-batched products and one stacked step bound per group, two batched
-matrix-vector products with no eigenvalue solve.  The
-shared columns are one slice, stepped along the gradient summed over the
+Blocks that share their dims and rank form a group, held as stacks: the
+raw tensors as one ``(S, I_1, ..., I_N)`` array (the storage of
+:class:`CoupledProblem`), per mode one ``(S, I_n, R)`` factor array, the
+weights as ``(S, R)`` and the grams and cross-grams as ``(S, R, R)``
+stacks.  Each update is then a few batched products and one stacked step
+bound per group, two batched matrix-vector products with no eigenvalue
+solve.  The shared columns are one slice, stepped along the gradient summed over the
 block axis of every group.  Blocks of other dims or ranks form further
 groups, a lone block a group of one; there is no per-block iteration.
 
@@ -29,11 +30,12 @@ staged per group for the next core update.
 
 * ``full`` fits the raw tensors.  Gradients use
   :func:`concpd.tensor_ops.mttkrp` on their C-order views, with no
-  Khatri-Rao product: per block and sweep, one GEMM against the last
-  factor for the first mode, and one GEMM for the partial product of the
-  first factor, rewritten in one buffer per block, that the other modes
-  contract with small factor matrices.  ``b`` is the last mode's
-  contraction, exact at the new iterate.  The objective is formed from the
+  Khatri-Rao product, batched over each group's tensor stack: per group
+  and sweep, one batched GEMM against the last factor for the first mode,
+  and one for the partial product of the first factor, rewritten in one
+  buffer per group, that the other modes contract with small factor
+  matrices.  ``b`` is the last mode's contraction, exact at the new
+  iterate.  The objective is formed from the
   explicit residual instead where that is small (below ``1e-3 ||M||^2``)
   and wherever the expanded value is not strictly below the last recorded
   objective, so every restart decision and every value recorded after a
@@ -67,6 +69,7 @@ leaves.  Both modes start from the raw tensors, so they begin at the same
 iterate.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -120,6 +123,14 @@ __all__ = [
 class CoupledProblem:
     """``S`` nonnegative tensors to decompose jointly.
 
+    The tensors are stored as one C-contiguous float stack per group of
+    blocks with the same dims and rank, ``(S_g, I_1, ..., I_N)``, and
+    ``tensors`` holds views of those stacks, so the solver contracts each
+    group in batched calls.  Tensors that already are consecutive slices of
+    such a stack, as :func:`concpd.synth.generate` and
+    :func:`concpd.fileio.load_coupled` make them, keep it; any other group
+    is copied once into a new stack.
+
     Parameters
     ----------
     tensors : list of ndarray
@@ -146,12 +157,17 @@ class CoupledProblem:
     als_options: AlsOptions = None
 
     def __post_init__(self):
-        # C order makes the solver's unfoldings copy-free views
-        self.tensors = [np.ascontiguousarray(t, dtype=float) for t in self.tensors]
         if isinstance(self.ranks, (int, np.integer)):
             self.ranks = [int(self.ranks)] * len(self.tensors)
         self.ranks = [int(r) for r in self.ranks]
         self.coupled_counts = [int(c) for c in self.coupled_counts]
+        # one C-order stack per group: the solver contracts each group in
+        # batched calls, and its unfoldings are copy-free views
+        self.tensors = [np.asarray(t) for t in self.tensors]
+        for idx in _groups(self.tensors, self.ranks):
+            stack = _as_stack([self.tensors[s] for s in idx])
+            for j, s in enumerate(idx):
+                self.tensors[s] = stack[j]
 
     @property
     def n_blocks(self):
@@ -192,6 +208,31 @@ class CoupledProblem:
                     raise ValueError(
                         f"mode {n} is coupled but block sizes differ: {sorted(sizes)}"
                     )
+
+
+def _groups(tensors, ranks):
+    """Block indices by ``(dims, rank)``, in order of first appearance."""
+    members = {}
+    for s, t in enumerate(tensors):
+        members.setdefault((t.shape, ranks[s] if s < len(ranks) else None), []).append(s)
+    return list(members.values())
+
+
+def _as_stack(tensors):
+    """The C-contiguous float ``(S, ...)`` array whose consecutive slices
+    ``tensors`` are, or else a new one that holds a copy of them."""
+    first, base = tensors[0], tensors[0].base
+    if (isinstance(base, np.ndarray) and base.dtype == float and first.size
+            and base.flags.c_contiguous and base.shape[1:] == first.shape):
+        step = base.strides[0]
+        at, off = divmod(first.ctypes.data - base.ctypes.data, step)
+        if not off and all(
+                t.base is base and t.dtype == float and t.shape == first.shape
+                and t.strides == base.strides[1:]
+                and t.ctypes.data == first.ctypes.data + j * step
+                for j, t in enumerate(tensors)):
+            return base[at:at + len(tensors)]
+    return np.array(tensors, dtype=float)
 
 
 @dataclass
@@ -287,10 +328,12 @@ def core_linear_term(tensor, factors):
 
     Costs one tensor-sized GEMM (the partial product of the first factor),
     then per rank column matrix-vector products over the middle modes; no
-    Khatri-Rao product is formed.
+    Khatri-Rao product is formed.  An ``(S, I_1, ..., I_N)`` stack with
+    ``(S, I_n, R)`` factor stacks gives the ``(S, R)`` stack of terms from
+    batched calls, each row bit-identical to the call on that block alone.
     """
     last = len(factors) - 1
-    return np.einsum("ir,ir->r", factors[last], mttkrp(tensor, factors, last))
+    return np.einsum("...ir,...ir->...r", factors[last], mttkrp(tensor, factors, last))
 
 
 def core_linear_term_lra(mu, cross):
@@ -429,7 +472,11 @@ def _grown_start(mat):
 
 
 class _Group:
-    """Blocks ``idx`` of one shape and rank: current and previous factors
+    """Blocks ``idx`` of one shape and rank: ``data``, their raw tensors as
+    the ``(S, I_1, ..., I_N)`` stack that the problem's tensors are views
+    of (a copy only if they no longer are), and in full mode ``partial``,
+    the one buffer of the first factor's partial product that every sweep
+    rewrites in place (:func:`mttkrp_partial`); current and previous factors
     ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, per mode the
     grams ``(N, S, R, R)``, ``data_sq``, the fitted data's ``||M||^2``,
     ``lip``, the step bounds of the last update by ``"core"`` or mode, zero
@@ -442,8 +489,10 @@ class _Group:
     ``||[[|mu|; |U~|]]||`` that scale the expansion's rounding-error bound.
     """
 
-    def __init__(self, idx, blocks, tilde, norm_sq):
+    def __init__(self, idx, blocks, tilde, norm_sq, tensors):
         self.idx = idx
+        self.data = _as_stack([tensors[s] for s in idx])
+        self.partial = None
         order = blocks[idx[0]].order
         self.u = [np.stack([blocks[s].factors[n] for s in idx]) for n in range(order)]
         self.lam = np.stack([blocks[s].weights for s in idx])
@@ -486,9 +535,11 @@ class _Group:
 
 
 class _Apg:
-    """Iteration state: the groups' stacks, and per block ``curr[s]``, a
-    model whose factors and weights are views of its group's stacks.  Only
-    the evaluation right after a sweep reads the tensor products it forms."""
+    """Iteration state: the groups' stacks (:class:`_Group`), and per block
+    ``curr[s]``, a model whose factors and weights are views of its group's
+    stacks.  Every raw-tensor contraction is one batched call per group on
+    the group's tensor stack.  Only the evaluation right after a sweep reads
+    the tensor products it forms."""
 
     def __init__(self, problem, opts, tilde):
         self.p = problem
@@ -501,11 +552,9 @@ class _Apg:
 
         self.norm_sq = np.array([float(np.vdot(t, t)) for t in problem.tensors])
         start = init_factors(problem, opts.seed).blocks
-        members = {}
-        for s, blk in enumerate(start):
-            members.setdefault((blk.dims, blk.rank), []).append(s)
         # block 0 is row 0 of the first group
-        self.groups = [_Group(idx, start, tilde, self.norm_sq) for idx in members.values()]
+        self.groups = [_Group(idx, start, tilde, self.norm_sq, problem.tensors)
+                       for idx in _groups(problem.tensors, problem.ranks)]
         self.curr = [None] * self.S
         for g in self.groups:
             for j, s in enumerate(g.idx):
@@ -513,9 +562,6 @@ class _Apg:
 
         # per group, the core linear terms of the last accepted iterate
         self.b = None
-        # full mode: per block, the buffer of the partial product that every
-        # sweep rewrites in place at mode 1
-        self._workspace = [None] * self.S
         self._iter_tag = 0
 
         self.t_k, self.n_restarts = 1.0, 0
@@ -543,18 +589,18 @@ class _Apg:
         ln = self.counts[n]
         parts = []
         for g in self.groups:
-            gram_skip = g.gram[self._others[n]].prod(axis=0)
+            others = self._others[n]
+            gram_skip = g.gram[others[0]]
+            for m in others[1:]:
+                gram_skip = gram_skip * g.gram[m]
             if n not in g.perron:
                 g.perron[n] = _grown_start(gram_skip * (g.lam[:, :, None] * g.lam[:, None, :]))
             lu = lipschitz_factor(gram_skip, g.lam, g.perron[n])
             lu_prev, g.lip[n] = g.lip[n], lu
             if self.tilde is None:
-                mtt = np.empty_like(g.u[n])
-                for j, s in enumerate(g.idx):
-                    tensor, facs = self.p.tensors[s], self.curr[s].factors
-                    if n == 1:  # the first factor is final for the rest of the sweep
-                        self._workspace[s] = mttkrp_partial(tensor, facs[0], self._workspace[s])
-                    mtt[j] = mttkrp(tensor, facs, n, self._workspace[s])
+                if n == 1:  # the first factor is final for the rest of the sweep
+                    g.partial = mttkrp_partial(g.data, g.u[0], g.partial)
+                mtt = mttkrp(g.data, g.u, n, g.partial)
             else:
                 mtt = factor_linear_term_lra(g.tilde_mtt[n], g.cross[self._others[n]])
             parts.append((gram_skip, lu, lu_prev, mtt))
@@ -562,7 +608,9 @@ class _Apg:
         if ln > 0:
             sum_lu = sum(float(lu.sum()) for _, lu, _, _ in parts)
             sum_prev = sum(float(lu_prev.sum()) for _, _, lu_prev, _ in parts)
-            w_common = extrapolation_weight(w_hat, sum_prev, sum_lu, self.o.delta_w)
+            # the rule of extrapolation_weight, on two floats
+            w_common = (min(w_hat, self.o.delta_w * math.sqrt(sum_prev / sum_lu))
+                        if sum_prev > 0.0 and sum_lu > 0.0 else 0.0)
             first = self.groups[0]
             c_curr = first.u[n][0, :, :ln]
             c_hat = c_curr + w_common * (c_curr - first.u_prev[n][0, :, :ln])
@@ -625,9 +673,8 @@ class _Apg:
         return float(np.vdot(core, core))
 
     def _raw_linear(self, g):
-        """Stacked :func:`core_linear_term` of group ``g``'s raw tensors."""
-        return np.stack([core_linear_term(self.p.tensors[s], self.curr[s].factors)
-                         for s in g.idx])
+        """:func:`core_linear_term` of group ``g``'s raw tensor stack."""
+        return core_linear_term(g.data, g.u)
 
     def _rel(self, res, norm_sq):
         """Mean over blocks of ``sqrt(res_s / norm_sq_s)``, a zero-norm block

@@ -79,6 +79,8 @@ def generate(spec):
 
     Fully deterministic in ``spec.seed``: the common prefix and each block
     get independent child streams, so block order never shifts the draws.
+    Each tensor is written into one ``(n_blocks, I_1, I_2, I_3)`` stack,
+    which the problem keeps as its storage (see :class:`CoupledProblem`).
     """
     dims, rank, counts = spec.resolve()
     noiseless = spec.snr_db is None or np.isinf(spec.snr_db)
@@ -88,7 +90,8 @@ def generate(spec):
     common = [rng_c.random((dims[n], counts[n])) for n in range(3)]
 
     truth_blocks = []
-    tensors = []
+    # the problem's storage: its tensors are views of this stack
+    tensors = np.empty((spec.n_blocks,) + dims)
     for s in range(spec.n_blocks):
         rng_s = np.random.default_rng(children[1 + 2 * s])
         facs = []
@@ -99,13 +102,11 @@ def generate(spec):
         truth_blocks.append(KruskalTensor(facs, lam))
         clean = reconstruct(truth_blocks[-1])
         if noiseless:
-            tensors.append(clean)
+            tensors[s] = clean
         else:
-            tensors.append(
-                add_noise(clean, snr_db=spec.snr_db, seed=children[2 + 2 * s])
-            )
+            tensors[s] = add_noise(clean, snr_db=spec.snr_db, seed=children[2 + 2 * s])
 
-    problem = CoupledProblem(tensors, rank, list(counts))
+    problem = CoupledProblem(list(tensors), rank, list(counts))
     problem.validate()
     truth = CoupledFactorSet(truth_blocks, list(counts))
     truth.validate()

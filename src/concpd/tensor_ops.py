@@ -118,14 +118,18 @@ def mttkrp_partial(t, first, out=None):
     caller that rebuilds the partial every sweep keeps one buffer.  A sweep
     that updates the first factor first computes this once after that
     update and hands it to :func:`mttkrp` for every later mode of the sweep.
+    Also takes an ``(S, I_1, ..., I_N)`` stack with an ``(S, I_1, R)``
+    factor stack, one batched GEMM whose every slice is bit-identical to
+    the call on that slice alone.
     """
     t = np.asarray(t)
     first = np.asarray(first)
-    rank = first.shape[1]
-    base = None if out is None else _rank_first(out).reshape(rank, -1)
-    base = np.matmul(first.T, t.reshape(t.shape[0], -1), out=base)
-    base = base.reshape((rank,) + t.shape[1:])
-    return base.transpose(tuple(range(1, base.ndim)) + (0,))
+    b = first.ndim - 2  # 1 for a stack
+    lead, dims, rank = t.shape[:b], t.shape[b:], first.shape[-1]
+    base = None if out is None else _rank_first(out, b).reshape(lead + (rank, -1))
+    base = np.matmul(np.swapaxes(first, -1, -2), t.reshape(lead + (dims[0], -1)), out=base)
+    base = base.reshape(lead + (rank,) + dims[1:])
+    return base.transpose(tuple(range(b)) + tuple(range(b + 1, base.ndim)) + (b,))
 
 
 def mttkrp(t, factors, mode, partial=None):
@@ -142,40 +146,49 @@ def mttkrp(t, factors, mode, partial=None):
     partial across those modes pays one tensor-sized GEMM for all of them.
     For an order-2 tensor mode 1 contracts nothing, and its result is a view
     of ``partial``.  A tensor that is not C-contiguous is copied by the
-    reshape on every call.
+    reshape on every call.  An ``(S, I_1, ..., I_N)`` stack with
+    ``(S, I_n, R)`` factor stacks gives the ``(S, I_mode, R)`` stack of
+    products from the same calls batched over ``S``, each slice
+    bit-identical to the call on that slice alone.
     """
     t = np.asarray(t)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    if len(factors) != t.ndim:
-        raise ValueError(f"{len(factors)} factors for an order-{t.ndim} tensor")
-    if t.ndim < 2:
+    b = np.ndim(factors[0]) - 2  # 1 for a stack
+    order = t.ndim - b
+    if not 0 <= mode < order:
+        raise ValueError(f"mode {mode} out of range for order-{order} tensor")
+    if len(factors) != order:
+        raise ValueError(f"{len(factors)} factors for an order-{order} tensor")
+    if order < 2:
         raise ValueError("mttkrp needs a tensor of order 2 or more")
+    lead, dims = t.shape[:b], t.shape[b:]
     if mode == 0:
         last = np.asarray(factors[-1])
-        base = last.T @ t.reshape(-1, t.shape[-1]).T
-        base = base.reshape((last.shape[1],) + t.shape[:-1])
-        return _contract_rank_major(base, factors[:-1], 0).T
+        base = np.swapaxes(last, -1, -2) @ np.swapaxes(t.reshape(lead + (-1, dims[-1])), -1, -2)
+        base = base.reshape(lead + (last.shape[-1],) + dims[:-1])
+        return np.swapaxes(_contract_rank_major(base, factors[:-1], 0, b), -1, -2)
     if partial is None:
         partial = mttkrp_partial(t, factors[0])
-    return _contract_rank_major(_rank_first(partial), factors[1:], mode - 1).T
+    return np.swapaxes(
+        _contract_rank_major(_rank_first(partial, b), factors[1:], mode - 1, b), -1, -2)
 
 
-def _contract_rank_major(base, mats, keep):
+def _contract_rank_major(base, mats, keep, b):
     """``out[r, j] = sum base[r, j_0, ..., j_k] prod_{m != keep} mats[m][j_m, r]``
     with ``j = j_keep``: per rank column, matrix-vector products of ``base``
-    against the trailing modes' columns, then the leading modes'."""
-    rank, dims = base.shape[0], base.shape[1:]
+    against the trailing modes' columns, then the leading modes'.  ``b``
+    leading axes, of ``base`` and of every matrix, are batch axes."""
+    lead, rank, dims = base.shape[:b], base.shape[b], base.shape[b + 1:]
     for m in range(len(dims) - 1, keep, -1):
-        base = base.reshape(rank, -1, dims[m]) @ np.asarray(mats[m]).T[:, :, None]
+        base = base.reshape(lead + (rank, -1, dims[m])) @ np.swapaxes(mats[m], -1, -2)[..., None]
     for m in range(keep):
-        base = np.asarray(mats[m]).T[:, None, :] @ base.reshape(rank, dims[m], -1)
-    return base.reshape(rank, dims[keep])
+        base = np.swapaxes(mats[m], -1, -2)[..., None, :] @ base.reshape(lead + (rank, dims[m], -1))
+    return base.reshape(lead + (rank, dims[keep]))
 
 
-def _rank_first(p):
-    """The rank-major view ``(R, I_2, ..., I_N)`` of a partial product."""
-    return p.transpose((p.ndim - 1,) + tuple(range(p.ndim - 1)))
+def _rank_first(p, b):
+    """The rank-major view ``(R, I_2, ..., I_N)`` of a partial product,
+    behind ``b`` leading batch axes."""
+    return p.transpose(tuple(range(b)) + (p.ndim - 1,) + tuple(range(b, p.ndim - 1)))
 
 
 def hadamard_gram(mats, skip=None):

@@ -27,7 +27,7 @@ from concpd.fileio import (
 )
 from concpd.kruskal import KruskalTensor
 from concpd.metrics import MetricReport
-from concpd.solver import TraceRow
+from concpd.solver import CoupledProblem, TraceRow
 from concpd.synth import SynthSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,16 @@ def test_coupled_round_trip(tmp_path):
             assert (g == w).all()
     # shared columns survive the trip bit-exactly
     loaded_truth.validate()
+
+
+def test_loaded_tensors_are_views_of_one_stack(tmp_path):
+    problem, _ = generate(SynthSpec(n_blocks=3, size_factor=1, seed=6))
+    loaded, _ = load_coupled(save_coupled(tmp_path, problem))
+    stack = loaded.tensors[0].base
+    assert stack.shape == (3, 8, 9, 10) and stack.flags.c_contiguous
+    assert all(np.shares_memory(t, stack) for t in loaded.tensors)
+    again = CoupledProblem(loaded.tensors, loaded.ranks, loaded.coupled_counts, mode="lra")
+    assert all(np.shares_memory(t, stack) for t in again.tensors)
 
 
 def test_coupled_without_truth(tmp_path):

@@ -57,6 +57,38 @@ def assert_monotone(history, rel_tol=1e-10):
 # --- compressed-path linear-term identities -----------------------------------
 
 
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+def test_stacked_core_linear_term_equals_each_block_bit_for_bit(dims):
+    rng = np.random.default_rng(19)
+    t = rng.random((3,) + dims)
+    facs = [rng.random((3, d, 5)) for d in dims]
+    got = core_linear_term(t, facs)
+    assert got.shape == (3, 5)
+    for j in range(3):
+        assert np.array_equal(got[j], core_linear_term(t[j], [f[j] for f in facs]))
+
+
+def test_problem_stores_each_group_in_one_stack():
+    # blocks 0 and 1 share dims and rank, block 2 differs in both
+    rng = np.random.default_rng(20)
+    given = [rng.random((5, 6, 7)), np.asfortranarray(rng.random((5, 6, 7))),
+             rng.integers(0, 3, (5, 6, 9))]
+    prob = CoupledProblem(given, [3, 3, 4], [2, 1, 0])
+    first, second = prob.tensors[0].base, prob.tensors[2].base
+    assert first.shape == (2, 5, 6, 7) and second.shape == (1, 5, 6, 9)
+    assert prob.tensors[1].base is first
+    for stack in (first, second):
+        assert stack.flags.c_contiguous and stack.dtype == float
+    for got, t in zip(prob.tensors, given):
+        assert np.array_equal(got, t) and not np.shares_memory(got, t)
+    # views of the stacks are kept, in any mode; other views are copied
+    again = CoupledProblem(prob.tensors, prob.ranks, prob.coupled_counts, mode="lra")
+    assert all(a is not b and a.base is b.base for a, b in zip(again.tensors, prob.tensors))
+    swapped = CoupledProblem([prob.tensors[1], prob.tensors[0]], 3, [2, 1, 0])
+    assert swapped.tensors[0].base is not first
+    assert np.array_equal(swapped.tensors[0], prob.tensors[1])
+
+
 def test_compressed_core_linear_term_matches_full():
     rng = np.random.default_rng(0)
     dims, rank = (5, 4, 6), 3
@@ -353,18 +385,23 @@ def test_staged_core_terms_are_exact_across_restarts():
     assert state.n_restarts >= 2
 
 
-def test_full_steps_rewrite_one_partial_buffer_per_block():
-    # every sweep rebuilds the first factor's partial product in place, so
-    # its pages stay with the solver instead of being faulted in anew
-    prob = make_problem(3)
+def test_full_steps_rewrite_one_partial_buffer_per_group():
+    # every sweep rebuilds the first factor's partial product of the whole
+    # group in place, so its pages stay with the solver instead of being
+    # faulted in anew
+    prob = PINNED_SOLVES["stacks-full"][0]()
     state = solver_module._Apg(prob, SolverOptions(seed=0), None)
+    assert len(state.groups) > 1
     obj, *_, state.b = state._evaluate()
     obj, *_, state.b = state._step(obj)
-    before = list(state._workspace)
+    before = [g.partial for g in state.groups]
     obj, *_, state.b = state._step(obj)
-    for t, blk, old, new in zip(prob.tensors, state.curr, before, state._workspace):
-        assert np.shares_memory(old, new)
-        np.testing.assert_array_equal(new, mttkrp_partial(t, blk.factors[0]))
+    for g, old in zip(state.groups, before):
+        assert g.partial.shape == g.data.shape[:1] + g.data.shape[2:] + g.u[0].shape[-1:]
+        assert np.shares_memory(old, g.partial)
+        for j, s in enumerate(g.idx):
+            np.testing.assert_array_equal(
+                g.partial[j], mttkrp_partial(prob.tensors[s], state.curr[s].factors[0]))
 
 
 def test_max_iter_zero_returns_initialization():
@@ -642,21 +679,22 @@ def test_lra_trace_reports_original_tensor_quantities():
 @pytest.mark.parametrize("case", ["lra-noisy", "stacks-lra"])
 def test_lra_reads_the_raw_tensors_once_per_recorded_iterate(monkeypatch, case):
     # evaluations that a restart rejects fit the compressed models only;
-    # the report reads each raw tensor once
+    # the report reads each raw tensor once, in one stacked call per group
     make, opts = PINNED_SOLVES[case]
     problem = make()
     raw = []
     linear = solver_module.core_linear_term
 
     def counted(tensor, factors):
-        if any(tensor is t for t in problem.tensors):
-            raw.append(tensor)
+        if any(np.shares_memory(tensor, t) for t in problem.tensors):
+            assert tensor.ndim == problem.order + 1
+            raw.append(len(tensor))
         return linear(tensor, factors)
 
     monkeypatch.setattr(solver_module, "core_linear_term", counted)
     res = solve(problem, opts)
     assert res.n_restarts == PINNED_OUTCOMES[case][1] > 0
-    assert len(raw) == problem.n_blocks * (res.n_iter + 1)
+    assert sum(raw) == problem.n_blocks * (res.n_iter + 1)
 
 
 def test_compressed_solve_tracks_full_solve_quality():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from concpd.kruskal import reconstruct
+from concpd.solver import CoupledProblem
 from concpd.synth import SynthSpec, generate, round_half_away
 
 
@@ -105,3 +106,14 @@ def test_spec_validation():
         SynthSpec(rank=0)
     with pytest.raises(ValueError, match="dims"):
         SynthSpec(dims=(5, 5))
+
+
+def test_generated_tensors_are_views_of_one_stack():
+    problem, _ = generate(SynthSpec(n_blocks=4, size_factor=1, seed=3))
+    stack = problem.tensors[0].base
+    assert stack.shape == (4, 8, 9, 10) and stack.flags.c_contiguous
+    assert all(np.shares_memory(t, stack) for t in problem.tensors)
+    for mode in ("full", "lra"):
+        again = CoupledProblem(problem.tensors, problem.ranks,
+                               problem.coupled_counts, mode=mode)
+        assert all(np.shares_memory(t, stack) for t in again.tensors)

@@ -228,6 +228,24 @@ def test_mttkrp_reused_partial_equals_fresh(dims):
         factors[mode] = rng.standard_normal((dims[mode], 5))
 
 
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5), (2, 3, 4, 3)])
+def test_stacked_mttkrp_equals_each_slice_bit_for_bit(dims):
+    # the solver contracts a group's tensor stack in one batched call; every
+    # slice must be the single-tensor call's result exactly
+    rng = np.random.default_rng(17)
+    t = rng.random((3,) + dims)
+    factors = [rng.random((3, d, 5)) for d in dims]
+    partial = mttkrp_partial(t, factors[0])
+    assert partial.shape == (3,) + dims[1:] + (5,)
+    for j in range(3):
+        assert np.array_equal(partial[j], mttkrp_partial(t[j], factors[0][j]))
+    for mode in range(len(dims)):
+        for got in (mttkrp(t, factors, mode), mttkrp(t, factors, mode, partial)):
+            assert got.shape == (3, dims[mode], 5)
+            for j in range(3):
+                assert np.array_equal(got[j], mttkrp(t[j], [f[j] for f in factors], mode))
+
+
 def test_mttkrp_rejects_bad_mode_and_factor_count():
     t = np.zeros((2, 3, 4))
     factors = [np.ones((d, 2)) for d in (2, 3, 4)]
