@@ -211,7 +211,8 @@ class CoupledProblem:
 
 
 def _groups(tensors, ranks):
-    """Block indices by ``(dims, rank)``, in order of first appearance."""
+    """Block indices by ``(dims, rank)``, in order of first appearance;
+    blocks without a rank, which ``validate`` rejects, key on ``None``."""
     members = {}
     for s, t in enumerate(tensors):
         members.setdefault((t.shape, ranks[s] if s < len(ranks) else None), []).append(s)

@@ -90,7 +90,6 @@ def generate(spec):
     common = [rng_c.random((dims[n], counts[n])) for n in range(3)]
 
     truth_blocks = []
-    # the problem's storage: its tensors are views of this stack
     tensors = np.empty((spec.n_blocks,) + dims)
     for s in range(spec.n_blocks):
         rng_s = np.random.default_rng(children[1 + 2 * s])
