@@ -26,7 +26,7 @@ class AlsOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")

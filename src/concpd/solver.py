@@ -16,11 +16,15 @@ Blocks that share their dims and rank form a group, held as stacks: the
 raw tensors as one ``(S, I_1, ..., I_N)`` array (the storage of
 :class:`CoupledProblem`), per mode one ``(S, I_n, R)`` factor array, the
 weights as ``(S, R)`` and the grams and cross-grams as ``(S, R, R)``
-stacks.  Each update is then a few batched products and one stacked step
-bound per group, two batched matrix-vector products with no eigenvalue
-solve.  The shared columns are one slice, stepped along the gradient summed over the
-block axis of every group.  Blocks of other dims or ranks form further
-groups, a lone block a group of one; there is no per-block iteration.
+stacks.  Each update forms its gram surrogate once per group, one
+``(S, R, R)`` stack that both its step bound (two batched matrix-vector
+products, no eigenvalue solve) and its gradient read: for the weights the
+all-modes gram product, which the evaluation of the last iterate formed,
+and for a factor the other modes' gram product scaled by ``lam lam^T``
+(:func:`factor_surrogate`).  The shared columns are one slice, stepped
+along the gradient summed over the block axis of every group.  Blocks of
+other dims or ranks form further groups, a lone block a group of one;
+there is no per-block iteration.
 
 The two modes differ only in the data the iteration fits, and so in where
 its linear terms come from.  Both score an iterate by one gram expansion,
@@ -107,7 +111,7 @@ __all__ = [
     "core_linear_term",
     "core_linear_term_lra",
     "factor_linear_term_lra",
-    "lipschitz_factor",
+    "factor_surrogate",
     "extrapolation_weight",
     "t_next",
     "init_factors",
@@ -247,7 +251,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
         if not 0.0 < self.delta_w < 1.0:
             raise ValueError("delta_w must lie in (0, 1)")
@@ -347,16 +351,24 @@ def core_linear_term_lra(mu, cross):
     return (mu[..., None, :] @ np.multiply.reduce(cross))[..., 0, :]
 
 
-def factor_gradient(u_hat, gram_skip, mtt, lam):
+def factor_surrogate(gram_skip, lam):
+    """``gram_skip * lam lam^T``: the gram surrogate of a factor update, with
+    ``gram_skip`` the Hadamard gram over the other modes.  Its spectral norm
+    bounds the update's step size (:func:`concpd.tensor_ops.spectral_norm`),
+    and :func:`factor_gradient` reads it.  Takes one block, or ``(S, ...)``
+    stacks."""
+    return gram_skip * (lam[..., :, None] * lam[..., None, :])
+
+
+def factor_gradient(u_hat, surrogate, mtt, lam):
     """Gradient of the block objective in one mode's factor.
 
-    ``gram_skip`` is the Hadamard gram over the other modes, ``mtt`` the
-    matricized-tensor-times-Khatri-Rao product ``M_(n) U_kr^(-n)`` for this
-    mode (:func:`concpd.tensor_ops.mttkrp`), ``u_hat`` the (possibly
+    ``surrogate`` is :func:`factor_surrogate` at the weights ``lam``, ``mtt``
+    the matricized-tensor-times-Khatri-Rao product ``M_(n) U_kr^(-n)`` for
+    this mode (:func:`concpd.tensor_ops.mttkrp`), ``u_hat`` the (possibly
     extrapolated) point.  Takes one block, or ``(S, ...)`` stacks of blocks.
     """
-    outer = lam[..., :, None] * lam[..., None, :]
-    return u_hat @ (gram_skip * outer) - mtt * lam[..., None, :]
+    return u_hat @ surrogate - mtt * lam[..., None, :]
 
 
 def factor_linear_term_lra(weighted, cross_others):
@@ -369,25 +381,16 @@ def factor_linear_term_lra(weighted, cross_others):
     return weighted @ np.multiply.reduce(cross_others)
 
 
-def lipschitz_factor(gram_skip, lam, start=None):
-    """Step-size bound for a factor update: the spectral norm of
-    ``gram_skip * lam lam^T``, or with ``start`` the warm-started upper
-    bound of :func:`concpd.tensor_ops.spectral_norm`, which updates
-    ``start``.  Takes one block, or ``(S, ...)`` stacks."""
-    return spectral_norm(gram_skip * (lam[..., :, None] * lam[..., None, :]), start)
-
-
 def t_next(t):
     """Momentum sequence ``t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2``."""
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
 def extrapolation_weight(w_hat, lip_prev, lip_curr, delta_w):
-    """``min(w_hat, delta_w * sqrt(L_prev / L_curr))``; 0 on degenerate
-    blocks.  Element-wise over arrays of step bounds."""
-    live = (lip_prev > 0.0) & (lip_curr > 0.0)
-    ratio = np.divide(lip_prev, lip_curr, out=np.zeros(np.shape(live)), where=live)
-    return np.minimum(w_hat, delta_w * np.sqrt(ratio)) * live
+    """``min(w_hat, delta_w * sqrt(L_prev / L_curr))`` for ``w_hat >= 0``; 0
+    where either bound is 0.  Element-wise over arrays of step bounds."""
+    ratio = lip_prev / np.where(lip_curr > 0.0, lip_curr, np.inf)
+    return np.minimum(w_hat, delta_w * np.sqrt(ratio))
 
 
 def init_factors(problem, seed):
@@ -479,7 +482,8 @@ class _Group:
     the one buffer of the first factor's partial product that every sweep
     rewrites in place (:func:`mttkrp_partial`); current and previous factors
     ``u[n]``, ``u_prev[n]`` ``(S, I_n, R)``, weights ``(S, R)``, per mode the
-    grams ``(N, S, R, R)``, ``data_sq``, the fitted data's ``||M||^2``,
+    grams ``(N, S, R, R)``, ``gram_all``, their product at the last evaluated
+    or restored iterate, ``data_sq``, the fitted data's ``||M||^2``,
     ``lip``, the step bounds of the last update by ``"core"`` or mode, zero
     before the first, which so takes no extrapolation, and ``perron``, by
     the same keys, the ``(S, R)`` starts of those bounds, which each bound
@@ -493,7 +497,7 @@ class _Group:
     def __init__(self, idx, blocks, tilde, norm_sq, tensors):
         self.idx = idx
         self.data = _as_stack([tensors[s] for s in idx])
-        self.partial = None
+        self.partial = self.gram_all = None
         order = blocks[idx[0]].order
         self.u = [np.stack([blocks[s].factors[n] for s in idx]) for n in range(order)]
         self.lam = np.stack([blocks[s].weights for s in idx])
@@ -561,6 +565,15 @@ class _Apg:
             for j, s in enumerate(g.idx):
                 self.curr[s] = KruskalTensor([u[j] for u in g.u], g.lam[j])
 
+        # per mode, the shared columns' step bound of the last update
+        self.sum_lip = [0.0] * self.N
+        # per block the fitted data's ||M||^2, and the divisors of _rel for
+        # it and for the raw tensors, where a zero-norm block counts 0
+        self.data_sq = np.empty(self.S)
+        for g in self.groups:
+            self.data_sq[g.idx] = g.data_sq
+        self.fit_div, self.raw_div = (np.where(norm > 0.0, norm, np.inf)
+                                      for norm in np.sqrt([self.data_sq, self.norm_sq]))
         # per group, the core linear terms of the last accepted iterate
         self.b = None
         self._iter_tag = 0
@@ -571,19 +584,17 @@ class _Apg:
 
     def _update_cores(self, w_hat):
         for g, linear in zip(self.groups, self.b):
-            gram_all = g.gram.prod(axis=0)
             if "core" not in g.perron:
-                g.perron["core"] = _grown_start(gram_all)
-            ld = spectral_norm(gram_all, g.perron["core"])
-            ld_prev, g.lip["core"] = g.lip["core"], ld
-            w = extrapolation_weight(w_hat, ld_prev, ld, self.o.delta_w)
+                g.perron["core"] = _grown_start(g.gram_all)
+            ld = spectral_norm(g.gram_all, g.perron["core"])
+            w = extrapolation_weight(w_hat, g.lip["core"], ld, self.o.delta_w)
+            g.lip["core"] = ld
             lam_hat = g.lam + w[:, None] * (g.lam - g.lam_prev)
-            grad = core_gradient(gram_all, lam_hat, linear)
-            # a zero bound means zero factor columns and a zero gradient
-            live = (ld > 0.0)[:, None]
-            step = np.maximum(0.0, lam_hat - grad / np.where(live, ld[:, None], 1.0))
+            grad = core_gradient(g.gram_all, lam_hat, linear)
             g.lam_prev[...] = g.lam
-            g.lam[...] = np.where(live, step, g.lam)
+            # a zero bound means zero factor columns, so a zero gradient and
+            # no extrapolation: the step leaves the block's weights as they are
+            np.maximum(0.0, lam_hat - grad / np.where(ld > 0.0, ld, 1.0)[:, None], out=g.lam)
 
     def _update_mode(self, n, w_hat):
         """Step mode ``n``; return each group's stacked MTTKRPs."""
@@ -594,55 +605,52 @@ class _Apg:
             gram_skip = g.gram[others[0]]
             for m in others[1:]:
                 gram_skip = gram_skip * g.gram[m]
+            h = factor_surrogate(gram_skip, g.lam)
             if n not in g.perron:
-                g.perron[n] = _grown_start(gram_skip * (g.lam[:, :, None] * g.lam[:, None, :]))
-            lu = lipschitz_factor(gram_skip, g.lam, g.perron[n])
-            lu_prev, g.lip[n] = g.lip[n], lu
+                g.perron[n] = _grown_start(h)
+            lu = spectral_norm(h, g.perron[n])
+            w = extrapolation_weight(w_hat, g.lip[n], lu, self.o.delta_w)
+            g.lip[n] = lu
             if self.tilde is None:
                 if n == 1:  # the first factor is final for the rest of the sweep
                     g.partial = mttkrp_partial(g.data, g.u[0], g.partial)
                 mtt = mttkrp(g.data, g.u, n, g.partial)
             else:
-                mtt = factor_linear_term_lra(g.tilde_mtt[n], g.cross[self._others[n]])
-            parts.append((gram_skip, lu, lu_prev, mtt))
+                mtt = factor_linear_term_lra(g.tilde_mtt[n], g.cross[others])
+            parts.append((h, lu, w, mtt))
 
         if ln > 0:
             sum_lu = sum(float(lu.sum()) for _, lu, _, _ in parts)
-            sum_prev = sum(float(lu_prev.sum()) for _, _, lu_prev, _ in parts)
+            sum_prev, self.sum_lip[n] = self.sum_lip[n], sum_lu
             # the rule of extrapolation_weight, on two floats
             w_common = (min(w_hat, self.o.delta_w * math.sqrt(sum_prev / sum_lu))
                         if sum_prev > 0.0 and sum_lu > 0.0 else 0.0)
             first = self.groups[0]
             c_curr = first.u[n][0, :, :ln]
             c_hat = c_curr + w_common * (c_curr - first.u_prev[n][0, :, :ln])
-            grad_common = np.zeros_like(c_hat)
+            grad_common = None
 
-        new = []
-        for g, (gram_skip, lu, lu_prev, mtt) in zip(self.groups, parts):
+        for g, (h, lu, w, mtt) in zip(self.groups, parts):
             u = g.u[n]
-            w = extrapolation_weight(w_hat, lu_prev, lu, self.o.delta_w)
             u_hat = u + w[:, None, None] * (u - g.u_prev[n])
             if ln > 0:
                 u_hat[:, :, :ln] = c_hat
-            grad = factor_gradient(u_hat, gram_skip, mtt, g.lam)
+            grad = factor_gradient(u_hat, h, mtt, g.lam)
             if ln > 0:
-                grad_common += grad[:, :, :ln].sum(axis=0)
-            # a zero bound implies a zero gradient: such a block keeps its
-            # factor; the common columns are overwritten below
-            live = (lu > 0.0)[:, None, None]
-            step = np.maximum(0.0, u_hat - grad / np.where(live, lu[:, None, None], 1.0))
-            new.append(np.where(live, step, u))
+                part = grad[:, :, :ln].sum(axis=0)
+                grad_common = part if grad_common is None else grad_common + part
+            g.u_prev[n][...] = u
+            # a zero bound means a zero surrogate, so a zero gradient and no
+            # extrapolation: the step leaves the block's factor as it is; the
+            # shared columns are overwritten below
+            np.maximum(0.0, u_hat - grad / np.where(lu > 0.0, lu, 1.0)[:, None, None], out=u)
 
         if ln > 0:
-            if sum_lu > 0.0:
-                c_new = np.maximum(0.0, c_hat - grad_common / sum_lu)
-            else:
-                c_new = c_curr.copy()
-        for g, u_new in zip(self.groups, new):
+            # a zero bound takes no extrapolation either, so c_hat is c_curr
+            c_new = np.maximum(0.0, c_hat - grad_common / sum_lu) if sum_lu > 0.0 else c_hat
+        for g in self.groups:
             if ln > 0:
-                u_new[:, :, :ln] = c_new
-            g.u_prev[n][...] = g.u[n]
-            g.u[n][...] = u_new
+                g.u[n][:, :, :ln] = c_new
             g.refresh(n)
         return [mtt for *_, mtt in parts]
 
@@ -677,17 +685,15 @@ class _Apg:
         """:func:`core_linear_term` of group ``g``'s raw tensor stack."""
         return core_linear_term(g.data, g.u)
 
-    def _rel(self, res, norm_sq):
-        """Mean over blocks of ``sqrt(res_s / norm_sq_s)``, a zero-norm block
-        counting 0, once every block's residual is finite."""
+    def _rel(self, res, div):
+        """Mean over blocks of ``sqrt(res_s) / div_s``, with ``div`` one of
+        the cached norm divisors, once every block's residual is finite."""
         if not np.isfinite(res).all():
             raise FloatingPointError(
                 f"block {np.flatnonzero(~np.isfinite(res))[0]} produced a "
                 f"non-finite objective at iteration {self._iter_tag}"
             )
-        norm = np.sqrt(norm_sq)
-        rel = np.sqrt(np.maximum(res, 0.0)) / np.where(norm > 0.0, norm, np.inf)
-        return float(rel.sum()) / len(res)
+        return float((np.sqrt(np.maximum(res, 0.0)) / div).sum()) / len(res)
 
     def _evaluate(self, bound=-np.inf, mtt=None):
         """Objective and relative error of the data the iteration fits.
@@ -707,10 +713,11 @@ class _Apg:
         strictly below ``bound``; otherwise the QR route takes over wherever
         the compressed residual is small.
         """
-        res, data_sq, model_sq = np.empty((3, self.S))
+        res, model_sq = np.empty((2, self.S))
         err, staged = np.zeros(self.S), []
         for i, g in enumerate(self.groups):
-            quad = _quad(g.lam, g.gram.prod(axis=0), g.lam)
+            g.gram_all = g.gram.prod(axis=0)
+            quad = _quad(g.lam, g.gram_all, g.lam)
             if self.tilde is not None:
                 b = core_linear_term_lra(g.mu, g.cross)
                 # the expansion over absolute values, its cross term bounded
@@ -722,19 +729,19 @@ class _Apg:
                 b = self._raw_linear(g)
             staged.append(b)
             res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + quad
-            data_sq[g.idx], model_sq[g.idx] = g.data_sq, quad
+            model_sq[g.idx] = quad
         obj = 0.5 * float((res + err).sum())
         if self.tilde is None:
             # the expansion cancels badly once a residual is small, and the
             # restart rule decides on explicit values only
-            if (res < 1e-3 * data_sq).any() or not obj < bound:
+            if (res < 1e-3 * self.data_sq).any() or not obj < bound:
                 res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
                 obj = 0.5 * float(res.sum())
         elif not obj < bound:
-            for s in np.flatnonzero(res < 1e-3 * data_sq):
+            for s in np.flatnonzero(res < 1e-3 * self.data_sq):
                 res[s] = self._small_residual_sq(s)
             obj = 0.5 * float(np.maximum(res, 0.0).sum())
-        return obj, self._rel(res, data_sq), model_sq, staged
+        return obj, self._rel(res, self.fit_div), model_sq, staged
 
     def _report(self, obj, rel, model_sq):
         """Objective and relative error against the original tensors, given
@@ -746,7 +753,7 @@ class _Apg:
         for g in self.groups:
             lin[g.idx] = np.einsum("sr,sr->s", g.lam, self._raw_linear(g))
         res = self.norm_sq - 2.0 * lin + model_sq
-        return 0.5 * float(np.maximum(res, 0.0).sum()), self._rel(res, self.norm_sq)
+        return 0.5 * float(np.maximum(res, 0.0).sum()), self._rel(res, self.raw_div)
 
     # -- one iteration with restart ------------------------------------------
 
@@ -757,6 +764,7 @@ class _Apg:
                 dst[...] = src
             for n in range(self.N):
                 g.refresh(n)
+            g.gram_all = g.gram.prod(axis=0)
 
     def _step(self, obj_last):
         """One extrapolated sweep, redone plainly if the objective rises."""
@@ -770,6 +778,7 @@ class _Apg:
             self._restore_previous()
             step = self._evaluate(mtt=self._sweep(0.0))
         return step
+
 
 def solve(problem, opts=None):
     """Run the coupled decomposition; see the module docstring.

@@ -122,12 +122,10 @@ def mttkrp_partial(t, first, out=None):
     factor stack, one batched GEMM whose every slice is bit-identical to
     the call on that slice alone.
     """
-    t = np.asarray(t)
-    first = np.asarray(first)
     b = first.ndim - 2  # 1 for a stack
     lead, dims, rank = t.shape[:b], t.shape[b:], first.shape[-1]
     base = None if out is None else _rank_first(out, b).reshape(lead + (rank, -1))
-    base = np.matmul(np.swapaxes(first, -1, -2), t.reshape(lead + (dims[0], -1)), out=base)
+    base = np.matmul(first.swapaxes(-1, -2), t.reshape(lead + (dims[0], -1)), out=base)
     base = base.reshape(lead + (rank,) + dims[1:])
     return base.transpose(tuple(range(b)) + tuple(range(b + 1, base.ndim)) + (b,))
 
@@ -151,8 +149,7 @@ def mttkrp(t, factors, mode, partial=None):
     products from the same calls batched over ``S``, each slice
     bit-identical to the call on that slice alone.
     """
-    t = np.asarray(t)
-    b = np.ndim(factors[0]) - 2  # 1 for a stack
+    b = factors[0].ndim - 2  # 1 for a stack
     order = t.ndim - b
     if not 0 <= mode < order:
         raise ValueError(f"mode {mode} out of range for order-{order} tensor")
@@ -162,14 +159,13 @@ def mttkrp(t, factors, mode, partial=None):
         raise ValueError("mttkrp needs a tensor of order 2 or more")
     lead, dims = t.shape[:b], t.shape[b:]
     if mode == 0:
-        last = np.asarray(factors[-1])
-        base = np.swapaxes(last, -1, -2) @ np.swapaxes(t.reshape(lead + (-1, dims[-1])), -1, -2)
+        last = factors[-1]
+        base = last.swapaxes(-1, -2) @ t.reshape(lead + (-1, dims[-1])).swapaxes(-1, -2)
         base = base.reshape(lead + (last.shape[-1],) + dims[:-1])
-        return np.swapaxes(_contract_rank_major(base, factors[:-1], 0, b), -1, -2)
+        return _contract_rank_major(base, factors[:-1], 0, b).swapaxes(-1, -2)
     if partial is None:
         partial = mttkrp_partial(t, factors[0])
-    return np.swapaxes(
-        _contract_rank_major(_rank_first(partial, b), factors[1:], mode - 1, b), -1, -2)
+    return _contract_rank_major(_rank_first(partial, b), factors[1:], mode - 1, b).swapaxes(-1, -2)
 
 
 def _contract_rank_major(base, mats, keep, b):
@@ -179,9 +175,9 @@ def _contract_rank_major(base, mats, keep, b):
     leading axes, of ``base`` and of every matrix, are batch axes."""
     lead, rank, dims = base.shape[:b], base.shape[b], base.shape[b + 1:]
     for m in range(len(dims) - 1, keep, -1):
-        base = base.reshape(lead + (rank, -1, dims[m])) @ np.swapaxes(mats[m], -1, -2)[..., None]
+        base = base.reshape(lead + (rank, -1, dims[m])) @ mats[m].swapaxes(-1, -2)[..., None]
     for m in range(keep):
-        base = np.swapaxes(mats[m], -1, -2)[..., None, :] @ base.reshape(lead + (rank, dims[m], -1))
+        base = mats[m].swapaxes(-1, -2)[..., None, :] @ base.reshape(lead + (rank, dims[m], -1))
     return base.reshape(lead + (rank, dims[keep]))
 
 
@@ -233,11 +229,11 @@ def spectral_norm(g, start=None):
     from above, and equals it at the Perron vector (Horn & Johnson, *Matrix
     Analysis*, 2nd ed., section 8.1).  One power step ``y = G start`` is
     taken and the ratio of ``G y`` over ``y`` returned, rows where ``y`` is
-    0 (zero rows of ``G``) left out; ``G y``, scaled to a maximum of 1 and
-    floored at ``_PERRON_FLOOR``, is written back into ``start``.  That is
-    two batched matrix-vector products and no LAPACK call, and a caller that
-    carries ``start`` across calls on slowly changing matrices keeps the
-    bound close to the norm.  Proximal steps divide by the result, so a
+    0 (zero rows of ``G``, where ``G y`` is 0 too) reading 0; ``G y``, scaled
+    to a maximum of 1 and floored at ``_PERRON_FLOOR``, is written back into
+    ``start``.  That is two batched matrix-vector products and no LAPACK
+    call, and a caller that carries ``start`` across calls on slowly
+    changing matrices keeps the bound close to the norm.  Proximal steps divide by the result, so a
     bound above the norm only shortens them.
 
     Returns 0.0 for the zero matrix, whose ``start`` is left as it was; a
@@ -252,8 +248,8 @@ def spectral_norm(g, start=None):
     else:
         y = (g @ start[..., None])[..., 0]
         z = (g @ y[..., None])[..., 0]
-        top = np.divide(z, y, out=np.zeros_like(y), where=y > 0.0).max(axis=-1)
-        scale = z.max(axis=-1, keepdims=True)
+        top = np.maximum.reduce(z / np.where(y > 0.0, y, 1.0), axis=-1)
+        scale = np.maximum.reduce(z, axis=-1, keepdims=True)
         np.divide(z, scale, out=start, where=scale > 0.0)
         np.maximum(start, _PERRON_FLOOR, out=start)
     return float(top) if g.ndim == 2 else top

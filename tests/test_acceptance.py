@@ -28,6 +28,7 @@ from concpd.solver import (
     core_linear_term_lra,
     factor_gradient,
     factor_linear_term_lra,
+    factor_surrogate,
     objective,
     solve,
 )
@@ -163,7 +164,8 @@ def test_gradients_match_central_differences():
                        if compressed
                        else mttkrp(src, block.factors, n))
                 return factor_gradient(block.factors[n],
-                                       hadamard_gram(block.factors, skip=n),
+                                       factor_surrogate(hadamard_gram(block.factors, skip=n),
+                                                        block.weights),
                                        mtt, block.weights)
 
             for s, block in enumerate(fset.blocks):

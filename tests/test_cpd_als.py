@@ -78,6 +78,9 @@ def test_option_validation():
         cpd_als(np.ones((2, 2)), 0)
     with pytest.raises(ValueError):
         AlsOptions(tol=0.0)
+    # a NaN tolerance would never stop the sweeps
+    with pytest.raises(ValueError, match="tol"):
+        AlsOptions(tol=float("nan"))
 
 
 def test_seed_controls_initialization():

@@ -1,5 +1,7 @@
 """Behavioral tests for the coupled solver: identities, invariants, plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from concpd.solver import (
     core_linear_term_lra,
     extrapolation_weight,
     factor_linear_term_lra,
+    factor_surrogate,
     init_factors,
-    lipschitz_factor,
     objective,
     solve,
     t_next,
@@ -136,12 +138,14 @@ def test_lipschitz_factor_matches_dense_gram():
     for n in range(3):
         kr = factors_khatri_rao(facs, skip=n)
         want = np.linalg.norm(np.diag(lam) @ kr.T @ kr @ np.diag(lam), 2)
-        assert lipschitz_factor(hadamard_gram(facs, skip=n), lam) == pytest.approx(
-            want, rel=1e-10)
+        surrogate = factor_surrogate(hadamard_gram(facs, skip=n), lam)
+        assert spectral_norm(surrogate) == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("case", ["full", "lra-noisy", "fixed-core", "ranks-full",
-                                  "stacks-lra"])
+BOUND_CASES = ["full", "lra-noisy", "fixed-core", "ranks-full", "stacks-lra"]
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
 def test_one_step_bound_per_update_and_group(monkeypatch, case):
     # every step bound goes through ``solver.spectral_norm``, one batched
     # call per group, variable and iteration, a redone iteration included;
@@ -161,6 +165,36 @@ def test_one_step_bound_per_update_and_group(monkeypatch, case):
     per_iter = (problem.update_core + problem.order) * groups
     assert res.n_iter > 0 and all(calls)
     assert len(calls) == per_iter * (res.n_iter + res.n_restarts)
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_factor_gradient_reads_the_matrix_its_step_bound_got(monkeypatch, case):
+    # the finite-difference gate checks factor_gradient on the matrix of
+    # factor_surrogate; per group and mode update the solver must form that
+    # matrix once, bound it, and hand the very same array to the gradient
+    make, opts = PINNED_SOLVES[case]
+    problem = make()
+    bounded, read = [], []
+    bound, gradient = solver_module.spectral_norm, solver_module.factor_gradient
+
+    def bound_seen(g, start=None):
+        bounded.append(g)
+        return bound(g, start)
+
+    def gradient_seen(u_hat, surrogate, mtt, lam):
+        read.append(surrogate)
+        return gradient(u_hat, surrogate, mtt, lam)
+
+    monkeypatch.setattr(solver_module, "spectral_norm", bound_seen)
+    monkeypatch.setattr(solver_module, "factor_gradient", gradient_seen)
+    res = solve(problem, opts)
+    groups = len({(t.shape, r) for t, r in zip(problem.tensors, problem.ranks)})
+    assert len(read) == problem.order * groups * (res.n_iter + res.n_restarts)
+    # every array is still alive, so equal ids are the same array
+    ids = {id(h) for h in read}
+    factor_bounds = [g for g in bounded if id(g) in ids]
+    assert len(factor_bounds) == len(read)
+    assert all(g is h for g, h in zip(factor_bounds, read))
 
 
 # --- momentum schedule ------------------------------------------------------------
@@ -184,6 +218,19 @@ def test_extrapolation_weight_caps():
     assert extrapolation_weight(0.5, 4.0, 1.0, 0.9999) == 0.5
     assert extrapolation_weight(0.5, 0.0, 1.0, 0.9999) == 0.0
     assert extrapolation_weight(0.5, 1.0, 0.0, 0.9999) == 0.0
+
+
+def test_extrapolation_weight_on_arrays_equals_the_scalar_calls():
+    # the solver passes a group's stacked bounds: live entries, a zero
+    # previous bound (the first update), a zero current one (a dead block)
+    prev = np.array([1.0, 4.0, 0.0, 2.5, 0.0, 3.0, 1e-300])
+    curr = np.array([4.0, 1.0, 1.0, 0.0, 0.0, 7.0, 1e300])
+    for w_hat in (0.0, 0.3, 0.9):
+        got = extrapolation_weight(w_hat, prev, curr, 0.9999)
+        want = np.array([extrapolation_weight(w_hat, p, c, 0.9999)
+                         for p, c in zip(prev.tolist(), curr.tolist())])
+        assert got.tobytes() == want.tobytes()
+        assert not got[2:5].any()
 
 
 # --- initialization -----------------------------------------------------------------
@@ -385,6 +432,32 @@ def test_staged_core_terms_are_exact_across_restarts():
     assert state.n_restarts >= 2
 
 
+def test_cached_gram_product_is_current_at_every_core_update(monkeypatch):
+    # the core update reads the gram product that the last evaluation
+    # formed; a restart restores the previous iterate and must form it anew
+    def assert_current(state):
+        for g in state.groups:
+            assert np.array_equal(g.gram_all, g.gram.prod(axis=0))
+
+    update = solver_module._Apg._update_cores
+
+    def checked(self, w_hat):
+        assert_current(self)
+        update(self, w_hat)
+
+    monkeypatch.setattr(solver_module._Apg, "_update_cores", checked)
+    prob = make_problem(16, snr_db=10.0)
+    state = solver_module._Apg(prob, SolverOptions(seed=5), None)
+    obj, *_, state.b = state._evaluate()
+    for k in range(1, 401):
+        state._iter_tag = k
+        obj, *_, state.b = state._step(obj)
+        assert_current(state)
+        if state.n_restarts >= 2:
+            break
+    assert state.n_restarts >= 2
+
+
 def test_full_steps_rewrite_one_partial_buffer_per_group():
     # every sweep rebuilds the first factor's partial product of the whole
     # group in place, so its pages stay with the solver instead of being
@@ -426,6 +499,37 @@ def test_zero_tensors_are_handled():
     assert np.isfinite(res.objective_history).all()
     for blk in res.factors.blocks:
         assert np.isfinite(blk.weights).all()
+
+
+# at rank 1 the live block reaches its fit within 10 steps; from then on
+# redone steps move the objective by rounding alone
+@pytest.mark.parametrize("rank, counts, slack", [(3, [1, 1, 1], 0.0), (1, [0, 0, 0], 1e-10)],
+                         ids=["mode-bound", "core-bound"])
+def test_a_dead_block_in_a_live_group_stays_put(rank, counts, slack):
+    # the zero block's surrogates reach exactly 0, a mode's and at rank 1 the
+    # core's too.  A zero surrogate gives a zero gradient and a zero bound no
+    # extrapolation, so a step leaves that block's variables as they are
+    rng = np.random.default_rng(7)
+    prob = CoupledProblem([np.zeros((4, 5, 6)), rng.random((4, 5, 6))], rank, counts)
+    state = solver_module._Apg(prob, SolverOptions(seed=7), None)
+    g, keys, dead = state.groups[0], [*range(3), "core"], set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        obj, *_, state.b = state._evaluate()
+        history = [obj]
+        for k in range(1, 61):
+            state._iter_tag = k
+            before = [u[0, :, c:].copy() for u, c in zip(g.u, counts)] + [g.lam[0].copy()]
+            obj, *_, state.b = state._step(obj)
+            history.append(obj)
+            after = [u[0, :, c:] for u, c in zip(g.u, counts)] + [g.lam[0]]
+            for key, old, new in zip(keys, before, after):
+                if g.lip[key][0] == 0.0:
+                    dead.add(key)
+                    assert new.tobytes() == old.tobytes(), f"{key} moved at iteration {k}"
+    assert dead & set(range(3)) and ("core" in dead) == (rank == 1)
+    assert np.isfinite(history).all()
+    assert_monotone(history, rel_tol=slack)
 
 
 def test_heterogeneous_ranks_and_uncoupled_dims():
@@ -735,6 +839,9 @@ def test_solver_options_validation():
         SolverOptions(max_iter=-1)
     with pytest.raises(ValueError, match="tol"):
         SolverOptions(tol=0.0)
+    # a NaN tolerance would never stop the iteration
+    with pytest.raises(ValueError, match="tol"):
+        SolverOptions(tol=float("nan"))
     with pytest.raises(ValueError, match="delta_w"):
         SolverOptions(delta_w=1.0)
     with pytest.raises(ValueError, match="trace_every"):

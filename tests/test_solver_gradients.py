@@ -16,6 +16,7 @@ from concpd.solver import (
     core_linear_term_lra,
     factor_gradient,
     factor_linear_term_lra,
+    factor_surrogate,
     objective,
 )
 from concpd.tensor_ops import hadamard_gram, mttkrp
@@ -106,7 +107,7 @@ def analytic_core_lra(tilde, block):
 def analytic_factor(tensor, block, n):
     return factor_gradient(
         block.factors[n],
-        hadamard_gram(block.factors, skip=n),
+        factor_surrogate(hadamard_gram(block.factors, skip=n), block.weights),
         mttkrp(tensor, block.factors, n),
         block.weights,
     )
@@ -115,7 +116,7 @@ def analytic_factor(tensor, block, n):
 def analytic_factor_lra(tilde, block, n):
     return factor_gradient(
         block.factors[n],
-        hadamard_gram(block.factors, skip=n),
+        factor_surrogate(hadamard_gram(block.factors, skip=n), block.weights),
         factor_linear_term_lra(tilde.factors[n] * tilde.weights,
                                [tilde.factors[m].T @ block.factors[m]
                                 for m in range(N_MODES) if m != n]),
