@@ -5,8 +5,17 @@ a rank-``R`` model ``M ~ [[U1..UN]]`` stands in for the raw tensor so that
 later gradient terms involve only small matrices.  Factors are
 sign-indefinite and absorb all scaling; the returned model carries unit
 weights.
+
+One kernel, :func:`cpd_als_stack`, fits every slice of an
+``(S, I_1, ..., I_N)`` tensor stack at once, each block with its own seed,
+stop rule and :class:`AlsResult`; :func:`cpd_als` is its call on a stack of
+one.  Per sweep and mode it makes one batched MTTKRP and one batched
+``np.linalg.solve`` for the whole stack, so a stack of small blocks pays the
+Python dispatch of a sweep once instead of once per block.  Every block's
+fit is bit-identical to the fit of that block alone.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +23,7 @@ import numpy as np
 from .kruskal import KruskalTensor
 from .tensor_ops import factors_khatri_rao, matricize, mttkrp, mttkrp_partial
 
-__all__ = ["AlsOptions", "AlsResult", "cpd_als"]
+__all__ = ["AlsOptions", "AlsResult", "cpd_als", "cpd_als_stack"]
 
 
 @dataclass
@@ -48,6 +57,8 @@ def cpd_als(t, rank, opts=None):
     guarding rank-deficient iterates), so the residual norm is non-increasing
     across sweeps.  Iteration stops when the relative error changes by less
     than ``opts.tol`` between sweeps or after ``opts.max_iter`` sweeps.
+    The factors start from uniform draws of ``np.random.default_rng(opts.seed)``,
+    mode by mode.
 
     Each sweep runs on :func:`concpd.tensor_ops.mttkrp`, which forms no
     Khatri-Rao product: one tensor-sized GEMM for the first mode, against
@@ -61,70 +72,129 @@ def cpd_als(t, rank, opts=None):
     reconstruction instead; the reported history is therefore reliable even
     at near-exact fits.
 
-    Raises ``ValueError`` for a rank below 1 or infeasible (normal equations
+    This is :func:`cpd_als_stack` on the stack ``t[None]``.  Raises
+    ``ValueError`` for a rank below 1 or infeasible (normal equations
     taller than the data allow), non-finite input, or divergence.
     """
     opts = opts if opts is not None else AlsOptions()
     t = np.ascontiguousarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("tensor contains non-finite values")
+    (out,) = cpd_als_stack(t[None], rank, opts, [opts.seed])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def cpd_als_stack(tensors, rank, opts, seeds):
+    """:func:`cpd_als` of every slice ``tensors[j]`` of a stack, with seed
+    ``seeds[j]`` and the tolerance and sweep cap of ``opts``.
+
+    All blocks sweep together: per mode one batched :func:`mttkrp` and one
+    batched ``np.linalg.solve`` of the ``(S, R, R)`` normal equations.  A
+    block leaves the stack at the end of the sweep in which its stop rule
+    fires or its factors stop being finite, so no later sweep is spent on it.
+    Returns per block its :class:`AlsResult`, bit-identical to
+    ``cpd_als(tensors[j], rank, replace(opts, seed=seeds[j]))``, or the
+    ``ValueError`` that call raises.  Every sweep streams all the stack's
+    tensors through two GEMMs, so a caller keeps the stack small enough to
+    stay in cache between them.
+    """
+    tensors = np.ascontiguousarray(tensors, dtype=float)
+    size, dims = tensors.shape[0], tensors.shape[1:]
+    finite = np.isfinite(tensors).all(axis=tuple(range(1, tensors.ndim)))
+    out = [None if ok else ValueError("tensor contains non-finite values") for ok in finite]
     rank = int(rank)
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    dims = t.shape
-    for n in range(t.ndim):
-        other = t.size // dims[n]
-        if rank > other:
-            raise ValueError(
-                f"rank {rank} infeasible: mode-{n} system has only {other} rows"
-            )
+    failure = ValueError(f"rank must be >= 1, got {rank}") if rank < 1 else None
+    for n, d in enumerate(dims):
+        other = math.prod(dims) // d
+        if failure is None and rank > other:
+            failure = ValueError(f"rank {rank} infeasible: mode-{n} system has only {other} rows")
+    # the blocks still sweeping, by their index in ``tensors``
+    rows = np.flatnonzero(finite).tolist()
+    if failure is not None or not rows:
+        return [failure if o is None else o for o in out]
 
-    rng = np.random.default_rng(opts.seed)
-    factors = [rng.random((d, rank)) for d in dims]
-    grams = [f.T @ f for f in factors]
-    norm_sq = float(np.vdot(t, t))
-    norm_t = np.sqrt(norm_sq)
+    t = tensors if len(rows) == size else tensors[rows]
+    draws = [[rng.random((d, rank)) for d in dims]
+             for rng in map(np.random.default_rng, (seeds[j] for j in rows))]
+    factors = [np.stack(f) for f in zip(*draws)]
+    grams = [f.swapaxes(-1, -2) @ f for f in factors]
+    # per stack row, as floats: ||T||^2, ||T|| and the relative error, which
+    # is 0 for a zero tensor
+    norm_sq = [float(np.vdot(x, x)) for x in t]
+    norm = [math.sqrt(x) for x in norm_sq]
+    rel = [0.0 if x == 0.0 else 1.0 for x in norm]
+    history = [[] for _ in range(size)]
+    # per mode, the blocks whose factor no solve has set yet: a zero ridge
+    # leaves such a factor a C-ordered zero array, as zeros_like of its draw
+    unsolved = [set(rows) for _ in dims]
 
-    history = []
-    rel_err = 0.0 if norm_t == 0.0 else 1.0
-    converged = False
-    it = 0
+    def finish(sel, it, converged):
+        for i in sel:
+            j = rows[i]
+            model = KruskalTensor([np.zeros(f.shape[1:]) if it and j in unsolved[n] else f[i]
+                                   for n, f in enumerate(factors)], np.ones(rank))
+            out[j] = AlsResult(model, rel[i], history[j], n_iter=it, converged=converged)
+
+    eye = np.eye(rank)
+    others = [[m for m in range(len(dims)) if m != n] for n in range(len(dims))]
     partial = None
+    it = 0
     for it in range(1, opts.max_iter + 1):
-        for n in range(t.ndim):
+        for n, other in enumerate(others):
             mtt = mttkrp(t, factors, n, partial)
-            v = np.ones((rank, rank))
-            for m, g in enumerate(grams):
-                if m != n:
-                    v *= g
-            ridge = 1e-12 * np.trace(v) / rank
-            if ridge > 0.0:
-                u = np.linalg.solve(v + ridge * np.eye(rank), mtt.T).T
+            v = grams[other[0]]
+            for m in other[1:]:
+                v = v * grams[m]
+            ridge = 1e-12 * v.trace(axis1=-2, axis2=-1) / rank
+            pos = ridge > 0.0
+            if unsolved[n]:
+                unsolved[n].difference_update(np.compress(pos, rows).tolist())
+            # a factor is the transposed solve, as a single block's solve
+            # leaves it; a zero ridge means all-zero Khatri-Rao columns, so
+            # any factor fits, and it is 0
+            a, b = v + ridge[:, None, None] * eye, mtt.swapaxes(-1, -2)
+            if pos.all():
+                sol = np.linalg.solve(a, b)
             else:
-                # the Khatri-Rao columns are all zero, so any factor fits
-                u = np.zeros_like(factors[n])
-            factors[n] = u
-            grams[n] = u.T @ u
+                sol = np.zeros(b.shape)
+                if pos.any():
+                    sol[pos] = np.linalg.solve(a[pos], b[pos])
+            factors[n] = sol.swapaxes(-1, -2)
+            grams[n] = sol @ factors[n]
             if n == 0:
-                partial = mttkrp_partial(t, u, partial)
+                partial = mttkrp_partial(t, factors[0], partial)
+        gone = set()
         if not all(np.isfinite(g).all() for g in grams):
-            raise ValueError(f"ALS diverged to non-finite values at sweep {it}")
-        # mtt and v are still the last mode's: with its new factor they give
-        # the inner product with the data and the model's squared norm
-        inner = float(np.vdot(factors[-1], mtt))
-        res_sq = norm_sq - 2.0 * inner + float(np.vdot(v, grams[-1]))
-        if res_sq < 1e-3 * norm_sq:
-            res_sq = _explicit_residual_sq(t, factors)
-        new_rel = np.sqrt(max(res_sq, 0.0)) / norm_t if norm_t > 0.0 else 0.0
-        history.append(new_rel)
-        done = abs(rel_err - new_rel) < opts.tol
-        rel_err = new_rel
-        if done:
-            converged = True
-            break
-
-    model = KruskalTensor(factors, np.ones(rank))
-    return AlsResult(model, rel_err, history, n_iter=it, converged=converged)
+            ok = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])
+            for i in np.flatnonzero(~ok):
+                out[rows[i]] = ValueError(f"ALS diverged to non-finite values at sweep {it}")
+                gone.add(i)
+        done = []
+        for i, j in enumerate(rows):
+            if i in gone:
+                continue
+            # mtt and v are still the last mode's: with its new factor they
+            # give the inner product with the data and the model's squared norm
+            res = (norm_sq[i] - 2.0 * float(np.vdot(factors[-1][i], mtt[i]))
+                   + float(np.vdot(v[i], grams[-1][i])))
+            if res < 1e-3 * norm_sq[i]:
+                res = _explicit_residual_sq(t[i], [f[i] for f in factors])
+            new_rel = math.sqrt(max(res, 0.0)) / norm[i] if norm[i] > 0.0 else 0.0
+            history[j].append(new_rel)
+            if abs(rel[i] - new_rel) < opts.tol:
+                done.append(i)
+            rel[i] = new_rel
+        finish(done, it, True)
+        gone.update(done)
+        if gone:
+            keep = [i for i in range(len(rows)) if i not in gone]
+            if not keep:
+                return out
+            t, factors, grams = t[keep], [f[keep] for f in factors], [g[keep] for g in grams]
+            rows, norm_sq, norm, rel = ([x[i] for i in keep] for x in (rows, norm_sq, norm, rel))
+            partial = None
+    finish(range(len(rows)), it, False)
+    return out
 
 
 def _explicit_residual_sq(t, factors):

@@ -10,7 +10,8 @@ so ``L`` is a Collatz-Wielandt (Perron) bound warm-started from the last
 update's power iterate (see :func:`concpd.tensor_ops.spectral_norm`); a
 larger ``L`` keeps the majorization.  If the objective fails to decrease
 the iteration is redone from the non-extrapolated points, which restores
-the majorization-minimization descent guarantee.
+the majorization-minimization descent guarantee; where even that redo
+rises, by a rounding at a fixed point, the previous iterate is kept.
 
 Blocks that share their dims and rank form a group, held as stacks: the
 raw tensors as one ``(S, I_1, ..., I_N)`` array (the storage of
@@ -45,7 +46,10 @@ staged per group for the next core update.
   objective, so every restart decision and every value recorded after a
   restart is computed explicitly.
 * ``lra`` fits compressed models ``M~``, each tensor's unconstrained ALS
-  fit (:func:`concpd.cpd_als.cpd_als`).  Linear terms reduce to products
+  fit, bit-identical to :func:`concpd.cpd_als.cpd_als` on that tensor.  The
+  fits of a group run in one :func:`concpd.cpd_als.cpd_als_stack` call per
+  chunk of blocks whose tensors fit in ``_CHUNK_BYTES``, so small blocks
+  share each sweep's batched calls.  Linear terms reduce to products
   of small cross-gram matrices, so per-iteration cost scales with the sum
   of dimensions instead of their product.  The expansion's rounding error
   is bounded by the same expansion over absolute values, whose cross term
@@ -75,13 +79,14 @@ iterate.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpd_als import AlsOptions, cpd_als
-# the start's fit has a name of its own, so that calls of ``cpd_als`` through
-# this module are the lra compressions alone
+# the solver no longer calls ``cpd_als``: the lra compressions run through
+# ``cpd_als_stack``, and the start's fit through a name of its own.  It stays
+# bound here because the benchmark's tracer wraps it by this name
+from .cpd_als import AlsOptions, cpd_als, cpd_als_stack  # noqa: F401
 from .cpd_als import cpd_als as _fit_common
 from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
 # the solver no longer calls ``matricize`` or ``factors_khatri_rao``; they
@@ -281,7 +286,9 @@ class SolveResult:
     ``n_restarts`` counts iterations redone without extrapolation; a redone
     iteration records one entry, so ``len(objective_history) == n_iter + 1``
     always holds.  ``compression`` holds the lra mode's compressions, per
-    block the :class:`concpd.cpd_als.AlsResult` with the compressed model
+    block the :class:`concpd.cpd_als.AlsResult` that ``cpd_als`` returns for
+    that tensor at ALS seed ``als_options.seed + s``, though made in chunks
+    by :func:`concpd.cpd_als.cpd_als_stack`: the compressed model
     (``model``), its relative error (``rel_err``), its sweeps (``n_iter``)
     and whether its stop rule fired (``converged``); ``None`` in full mode.
     """
@@ -436,12 +443,14 @@ def _point_at_common(tensors, common, seed):
     :func:`init_factors`."""
     dims = tensors[0].shape
     mean = np.zeros(dims)
+    # in slabs of leading slices of about 64 KiB, so no block-sized
+    # temporary is formed
+    step = max(1, (1 << 16) // max(mean[0].nbytes, 1))
     for t in tensors:
         norm = np.sqrt(float(np.vdot(t, t)))
         if t.shape == dims and 0.0 < norm < np.inf:
-            # slice by slice, so no block-sized temporary is formed
-            for i in range(dims[0]):
-                mean[i] += t[i] / norm
+            for i in range(0, dims[0], step):
+                mean[i:i + step] += t[i:i + step] / norm
     rank = min(max(c.shape[1] for c in common), mean.size // max(dims))
     fit = _fit_common(mean, rank, AlsOptions(seed=seed)).model
     for c, u in zip(common, fit.factors):
@@ -458,6 +467,9 @@ def _point_at_common(tensors, common, seed):
 
 # power steps that grow a step bound's start from ones before its first use
 _GROW_STEPS = 10
+# the least positive float: a step divides by it where its bound, and so its
+# gradient, is 0, which leaves the variable as it is
+_TINY = 5e-324
 
 
 def _quad(x, mats, y):
@@ -574,8 +586,9 @@ class _Apg:
             self.data_sq[g.idx] = g.data_sq
         self.fit_div, self.raw_div = (np.where(norm > 0.0, norm, np.inf)
                                       for norm in np.sqrt([self.data_sq, self.norm_sq]))
-        # per group, the core linear terms of the last accepted iterate
-        self.b = None
+        # per group, the core linear terms of the last accepted iterate, and
+        # all of that iterate's _evaluate values, which solve() seeds
+        self.b = self.accepted = None
         self._iter_tag = 0
 
         self.t_k, self.n_restarts = 1.0, 0
@@ -594,7 +607,7 @@ class _Apg:
             g.lam_prev[...] = g.lam
             # a zero bound means zero factor columns, so a zero gradient and
             # no extrapolation: the step leaves the block's weights as they are
-            np.maximum(0.0, lam_hat - grad / np.where(ld > 0.0, ld, 1.0)[:, None], out=g.lam)
+            np.maximum(0.0, lam_hat - grad / np.maximum(ld, _TINY)[:, None], out=g.lam)
 
     def _update_mode(self, n, w_hat):
         """Step mode ``n``; return each group's stacked MTTKRPs."""
@@ -643,7 +656,7 @@ class _Apg:
             # a zero bound means a zero surrogate, so a zero gradient and no
             # extrapolation: the step leaves the block's factor as it is; the
             # shared columns are overwritten below
-            np.maximum(0.0, u_hat - grad / np.where(lu > 0.0, lu, 1.0)[:, None, None], out=u)
+            np.maximum(0.0, u_hat - grad / np.maximum(lu, _TINY)[:, None, None], out=u)
 
         if ln > 0:
             # a zero bound takes no extrapolation either, so c_hat is c_curr
@@ -713,8 +726,8 @@ class _Apg:
         strictly below ``bound``; otherwise the QR route takes over wherever
         the compressed residual is small.
         """
-        res, model_sq = np.empty((2, self.S))
-        err, staged = np.zeros(self.S), []
+        res, model_sq, err = np.empty((3, self.S))
+        staged = []
         for i, g in enumerate(self.groups):
             g.gram_all = g.gram.prod(axis=0)
             quad = _quad(g.lam, g.gram_all, g.lam)
@@ -730,17 +743,19 @@ class _Apg:
             staged.append(b)
             res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + quad
             model_sq[g.idx] = quad
-        obj = 0.5 * float((res + err).sum())
         if self.tilde is None:
+            obj = 0.5 * float(res.sum())
             # the expansion cancels badly once a residual is small, and the
             # restart rule decides on explicit values only
             if (res < 1e-3 * self.data_sq).any() or not obj < bound:
                 res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
                 obj = 0.5 * float(res.sum())
-        elif not obj < bound:
-            for s in np.flatnonzero(res < 1e-3 * self.data_sq):
-                res[s] = self._small_residual_sq(s)
-            obj = 0.5 * float(np.maximum(res, 0.0).sum())
+        else:
+            obj = 0.5 * float((res + err).sum())
+            if not obj < bound:
+                for s in np.flatnonzero(res < 1e-3 * self.data_sq):
+                    res[s] = self._small_residual_sq(s)
+                obj = 0.5 * float(np.maximum(res, 0.0).sum())
         return obj, self._rel(res, self.fit_div), model_sq, staged
 
     def _report(self, obj, rel, model_sq):
@@ -767,7 +782,11 @@ class _Apg:
             g.gram_all = g.gram.prod(axis=0)
 
     def _step(self, obj_last):
-        """One extrapolated sweep, redone plainly if the objective rises."""
+        """One extrapolated sweep, redone plainly if the objective rises.
+
+        At a fixed point the plain redo can rise by a rounding; the previous
+        iterate is then kept, and :attr:`accepted`, its ``_evaluate`` values,
+        returned again."""
         t_new = t_next(self.t_k)
         w_hat = (self.t_k - 1.0) / t_new
         self.t_k = t_new
@@ -777,7 +796,39 @@ class _Apg:
             self.n_restarts += 1
             self._restore_previous()
             step = self._evaluate(mtt=self._sweep(0.0))
+            if step[0] > obj_last:
+                self._restore_previous()
+                step = self.accepted
+        self.accepted = step
         return step
+
+
+# the tensor bytes one call of the compression kernel sweeps: a chunk of
+# small blocks shares each sweep's calls, and one that stays in cache reuses
+# its tensors between the sweep's GEMMs; a larger block is compressed alone
+_CHUNK_BYTES = 1 << 20
+
+
+def _compress(problem):
+    """Per block the :class:`concpd.cpd_als.AlsResult` of its compression,
+    with ALS seed ``als_options.seed + s``: one :func:`cpd_als_stack` call
+    per chunk of consecutive blocks of a group whose tensors fit in
+    ``_CHUNK_BYTES``.  The first block whose fit failed is named."""
+    base = problem.als_options if problem.als_options is not None else AlsOptions()
+    out = [None] * problem.n_blocks
+    for idx in _groups(problem.tensors, problem.ranks):
+        stack = _as_stack([problem.tensors[s] for s in idx])
+        per = max(1, _CHUNK_BYTES // max(stack[0].nbytes, 1))
+        for a in range(0, len(idx), per):
+            chunk = idx[a:a + per]
+            fits = cpd_als_stack(stack[a:a + per], problem.ranks[chunk[0]], base,
+                                 [base.seed + s for s in chunk])
+            for s, fit in zip(chunk, fits):
+                out[s] = fit
+    for s, fit in enumerate(out):
+        if isinstance(fit, Exception):
+            raise ValueError(f"compression of block {s} failed: {fit}") from fit
+    return out
 
 
 def solve(problem, opts=None):
@@ -793,21 +844,15 @@ def solve(problem, opts=None):
 
     compress_seconds, compression, tilde = 0.0, None, None
     if problem.mode == "lra":
-        base = problem.als_options if problem.als_options is not None else AlsOptions()
         tic = time.perf_counter()
-        compression = []
-        for s, (tensor, rank) in enumerate(zip(problem.tensors, problem.ranks)):
-            try:
-                compression.append(cpd_als(tensor, rank, replace(base, seed=base.seed + s)))
-            except ValueError as exc:
-                raise ValueError(f"compression of block {s} failed: {exc}") from exc
+        compression = _compress(problem)
         compress_seconds = time.perf_counter() - tic
         tilde = [c.model for c in compression]
 
     state = _Apg(problem, opts, tilde)
     t0 = time.perf_counter()
 
-    obj, rel_fit, model_sq, state.b = state._evaluate()
+    obj, rel_fit, model_sq, state.b = state.accepted = state._evaluate()
     obj_orig, rel_err = state._report(obj, rel_fit, model_sq)
     obj_history, rel_history = [obj], [rel_err]
     trace = [TraceRow(0, obj_orig, rel_err, time.perf_counter() - t0)]

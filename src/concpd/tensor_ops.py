@@ -216,25 +216,22 @@ def hadamard_gram(mats, skip=None):
 _PERRON_FLOOR = 1e-12
 
 
-def spectral_norm(g, start=None):
-    """Largest eigenvalue of a symmetric PSD matrix, or an upper bound on it.
+def spectral_norm(g, start):
+    """An upper bound on the largest eigenvalue of a symmetric PSD matrix
+    with nonnegative entries, or of each matrix of a ``(..., R, R)`` stack.
 
-    Without ``start`` it is solved exactly by LAPACK: a stack of shape
-    ``(..., R, R)`` gives its matrices' norms from one batched call, each
-    bit-identical to the norm of that matrix alone.
-
-    With ``start``, a strictly positive ``(..., R)`` array, the matrices
-    must also be entrywise nonnegative.  For such a ``G`` and any positive
-    ``x`` the Collatz-Wielandt ratio ``max_i (G x)_i / x_i`` bounds the norm
-    from above, and equals it at the Perron vector (Horn & Johnson, *Matrix
-    Analysis*, 2nd ed., section 8.1).  One power step ``y = G start`` is
-    taken and the ratio of ``G y`` over ``y`` returned, rows where ``y`` is
-    0 (zero rows of ``G``, where ``G y`` is 0 too) reading 0; ``G y``, scaled
-    to a maximum of 1 and floored at ``_PERRON_FLOOR``, is written back into
-    ``start``.  That is two batched matrix-vector products and no LAPACK
-    call, and a caller that carries ``start`` across calls on slowly
-    changing matrices keeps the bound close to the norm.  Proximal steps divide by the result, so a
-    bound above the norm only shortens them.
+    ``start`` is a strictly positive ``(..., R)`` array.  For such a ``G``
+    and any positive ``x`` the Collatz-Wielandt ratio ``max_i (G x)_i / x_i``
+    bounds the norm from above, and equals it at the Perron vector (Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., section 8.1).  One power step
+    ``y = G start`` is taken and the ratio of ``G y`` over ``y`` returned;
+    where ``y`` is 0, a zero row of ``G``, ``G y`` is 0 too, and the ratio
+    reads 0.  ``G y``, scaled to a maximum of 1 and floored at
+    ``_PERRON_FLOOR``, is written back into ``start``.  That is two batched
+    matrix-vector products and no LAPACK call, and a caller that carries
+    ``start`` across calls on slowly changing matrices keeps the bound close
+    to the norm.  Proximal steps divide by the result, so a bound above the
+    norm only shortens them.
 
     Returns 0.0 for the zero matrix, whose ``start`` is left as it was; a
     single matrix gives a ``float``.
@@ -242,14 +239,10 @@ def spectral_norm(g, start=None):
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {g.shape}")
-    if start is None:
-        top = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
-        top = np.where(g.any(axis=(-2, -1)), top, 0.0)
-    else:
-        y = (g @ start[..., None])[..., 0]
-        z = (g @ y[..., None])[..., 0]
-        top = np.maximum.reduce(z / np.where(y > 0.0, y, 1.0), axis=-1)
-        scale = np.maximum.reduce(z, axis=-1, keepdims=True)
-        np.divide(z, scale, out=start, where=scale > 0.0)
-        np.maximum(start, _PERRON_FLOOR, out=start)
+    y = (g @ start[..., None])[..., 0]
+    z = (g @ y[..., None])[..., 0]
+    top = np.maximum.reduce(z / np.maximum(y, 5e-324), axis=-1)
+    scale = np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.divide(z, scale, out=start, where=scale > 0.0)
+    np.maximum(start, _PERRON_FLOOR, out=start)
     return float(top) if g.ndim == 2 else top

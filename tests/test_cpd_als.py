@@ -1,9 +1,12 @@
-"""ALS compression stage: fit quality, monotonicity, degenerate inputs."""
+"""ALS compression stage: fit quality, monotonicity, degenerate inputs, and
+the stacked kernel against single-block fits."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from concpd.cpd_als import AlsOptions, cpd_als
+from concpd.cpd_als import AlsOptions, cpd_als, cpd_als_stack
 from concpd.kruskal import KruskalTensor, reconstruct
 
 
@@ -94,3 +97,74 @@ def test_seed_controls_initialization():
     assert any(
         not np.array_equal(fa, fc) for fa, fc in zip(a.model.factors, c.model.factors)
     )
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: every block's fit is the fit of that block alone
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.rel_err_history, want.rel_err_history)
+    assert (got.n_iter, got.converged, got.rel_err) == (want.n_iter, want.converged, want.rel_err)
+    for a, b in zip(got.model.factors, want.model.factors, strict=True):
+        assert np.array_equal(a, b)
+        assert a.flags.f_contiguous == b.flags.f_contiguous
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+    assert np.array_equal(got.model.weights, want.model.weights)
+
+
+@pytest.mark.parametrize("dims", [(7, 6), (5, 6, 4), (4, 3, 5, 3)],
+                         ids=["order2", "order3", "order4"])
+@pytest.mark.parametrize("max_iter", [0, 12, 200])
+def test_stack_fits_equal_each_block_alone(dims, max_iter):
+    # an exact rank-2 block, a noisy one, two of full rank, and a zero block:
+    # they stop at different sweeps, and the zero block at its first
+    rng = np.random.default_rng(len(dims))
+    blocks = [rank_r_tensor(rng, dims, 2)]
+    blocks.append(blocks[0] + 0.05 * rng.random(dims))
+    blocks += [rng.random(dims), np.zeros(dims), 3.0 * rng.random(dims)]
+    stack = np.stack(blocks)
+    opts = AlsOptions(tol=1e-6, max_iter=max_iter, seed=0)
+    seeds = [11, 4, 7, 0, 2]
+    got = cpd_als_stack(stack, 2, opts, seeds)
+    for block, fit, seed in zip(blocks, got, seeds, strict=True):
+        assert_same_fit(fit, cpd_als(block, 2, replace(opts, seed=seed)))
+    sweeps = [fit.n_iter for fit in got]
+    if max_iter == 200:
+        assert len(set(sweeps)) >= 3 and all(fit.converged for fit in got)
+    elif max_iter == 12:
+        assert 12 in sweeps and min(sweeps) < 12
+        assert not all(fit.converged for fit in got)
+    zero = got[3]
+    assert zero.rel_err == 0.0
+    if max_iter:
+        # a zero ridge leaves the factor 0
+        assert zero.n_iter == 1 and not any(f.any() for f in zero.model.factors)
+
+
+def test_stack_names_what_each_block_raised():
+    rng = np.random.default_rng(6)
+    stack = rng.random((3, 4, 5, 6))
+    stack[1, 0, 0, 0] = np.inf
+    got = cpd_als_stack(stack, 2, AlsOptions(), [0, 1, 2])
+    assert isinstance(got[1], ValueError) and "non-finite" in str(got[1])
+    for j in (0, 2):
+        assert_same_fit(got[j], cpd_als(stack[j], 2, AlsOptions(seed=j)))
+    infeasible = cpd_als_stack(stack, 40, AlsOptions(), [0, 1, 2])
+    assert isinstance(infeasible[0], ValueError) and "infeasible" in str(infeasible[0])
+    assert "non-finite" in str(infeasible[1]) and "infeasible" in str(infeasible[2])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_block_leaves_the_stack_alone():
+    # block 1's grams overflow in the first sweep; the others sweep on
+    rng = np.random.default_rng(22)
+    stack = np.stack([rank_r_tensor(rng, (6, 7, 8), 4) for _ in range(3)])
+    stack[1] *= 1e154
+    got = cpd_als_stack(stack, 4, AlsOptions(), [5, 6, 7])
+    assert isinstance(got[1], ValueError)
+    assert str(got[1]) == "ALS diverged to non-finite values at sweep 1"
+    with pytest.raises(ValueError, match="diverged"):
+        cpd_als(stack[1], 4, AlsOptions(seed=6))
+    for j in (0, 2):
+        assert_same_fit(got[j], cpd_als(stack[j], 4, AlsOptions(seed=5 + j)))

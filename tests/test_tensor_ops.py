@@ -294,36 +294,50 @@ def test_hadamard_gram_is_khatri_rao_gram():
 # ---------------------------------------------------------------------------
 
 
+def dense_norm(g):
+    """The largest eigenvalue of each symmetric matrix, from LAPACK."""
+    return np.linalg.eigvalsh(g)[..., -1]
+
+
+def carried_norm(g, calls=50):
+    """The Perron bound on ``g`` after ``calls`` calls carrying one start."""
+    start = np.ones(g.shape[:-1])
+    for _ in range(calls):
+        got = spectral_norm(g, start)
+        assert np.all(got >= dense_norm(g) * (1.0 - 1e-13))
+    return got
+
+
 def test_spectral_norm_psd_sweep():
     rng = np.random.default_rng(12)
     for _ in range(20):
         r = rng.integers(1, 9)
-        a = rng.standard_normal((r + 2, r))
+        a = rng.random((r + 2, r))  # nonnegative entries, as the bound needs
         g = a.T @ a
         want = float(np.linalg.norm(g, 2))
-        assert spectral_norm(g) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert dense_norm(g) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert carried_norm(g) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_spectral_norm_diagonal():
     g = np.diag([3.0, 7.0, 1.0])
-    assert spectral_norm(g) == pytest.approx(7.0, rel=1e-12)
+    assert spectral_norm(g, np.ones(3)) == pytest.approx(7.0, rel=1e-12)
 
 
 def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
+    assert spectral_norm(np.zeros((4, 4)), np.ones(4)) == 0.0
 
 
 def test_spectral_norm_skewed_eigenbasis():
-    # leading eigenvector orthogonal to the all-ones direction
-    q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    g = q @ np.diag([1.0, 5.0]) @ q.T
-    assert spectral_norm(g) == pytest.approx(5.0, rel=1e-12)
+    # a start all but orthogonal to the leading eigenvector still bounds it
+    g = np.diag([1.0, 5.0])
+    assert spectral_norm(g, np.array([1.0, 1e-12])) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_spectral_norm_rank_one():
     v = np.array([1.0, 2.0, 2.0])
     g = np.outer(v, v)
-    assert spectral_norm(g) == pytest.approx(9.0, rel=1e-12)
+    assert spectral_norm(g, np.ones(3)) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_spectral_norm_stack_matches_each_matrix_bitwise():
@@ -331,16 +345,19 @@ def test_spectral_norm_stack_matches_each_matrix_bitwise():
     a = rng.random((5, 6, 4))
     stack = a @ a.transpose(0, 2, 1)
     stack[2] = 0.0
-    got = spectral_norm(stack)
+    start = rng.uniform(0.1, 1.0, (5, 6))
+    alone = start.copy()
+    got = spectral_norm(stack, start)
     assert got.shape == (5,)
     assert got[2] == 0.0
-    for g, norm in zip(stack, got):
-        assert norm == spectral_norm(g)
+    for g, norm, s in zip(stack, got, alone):
+        assert norm == spectral_norm(g, s)
+    np.testing.assert_array_equal(start, alone)
 
 
 def test_spectral_norm_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
-        spectral_norm(np.ones((2, 3)))
+        spectral_norm(np.ones((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
