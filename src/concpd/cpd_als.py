@@ -12,7 +12,8 @@ stop rule and :class:`AlsResult`; :func:`cpd_als` is its call on a stack of
 one.  Per sweep and mode it makes one batched MTTKRP and one batched
 ``np.linalg.solve`` for the whole stack, so a stack of small blocks pays the
 Python dispatch of a sweep once instead of once per block.  Every block's
-fit is bit-identical to the fit of that block alone.
+fit is bit-identical to the fit of that block alone, its factors' layout
+included.
 """
 
 import math
@@ -20,8 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kruskal import KruskalTensor
-from .tensor_ops import factors_khatri_rao, matricize, mttkrp, mttkrp_partial
+from .kruskal import KruskalTensor, residual_sq
+from .tensor_ops import mttkrp, mttkrp_partial
+# ALS no longer calls ``matricize`` or ``factors_khatri_rao``; they stay
+# bound here because the benchmark's tracer wraps them by these names
+from .tensor_ops import factors_khatri_rao, matricize  # noqa: F401
 
 __all__ = ["AlsOptions", "AlsResult", "cpd_als", "cpd_als_stack"]
 
@@ -68,9 +72,9 @@ def cpd_als(t, rank, opts=None):
     ``||T||^2 - 2 sum_r b_r + 1^T G 1``, with ``b`` the last mode's
     contraction at the final factors and ``G`` the Hadamard product of the
     factor grams.  Where that falls below ``1e-3 ||T||^2`` its cancellation
-    error would matter, so the residual is formed explicitly from the
-    reconstruction instead; the reported history is therefore reliable even
-    at near-exact fits.
+    error would matter, so :func:`concpd.kruskal.residual_sq`, the coupled
+    solver's explicit residual, forms it instead; the reported history is
+    therefore reliable even at near-exact fits.
 
     This is :func:`cpd_als_stack` on the stack ``t[None]``.  Raises
     ``ValueError`` for a rank below 1 or infeasible (normal equations
@@ -104,8 +108,8 @@ def cpd_als_stack(tensors, rank, opts, seeds):
     out = [None if ok else ValueError("tensor contains non-finite values") for ok in finite]
     rank = int(rank)
     failure = ValueError(f"rank must be >= 1, got {rank}") if rank < 1 else None
-    for n, d in enumerate(dims):
-        other = math.prod(dims) // d
+    for n in range(len(dims)):
+        other = math.prod(dims[:n] + dims[n + 1:])
         if failure is None and rank > other:
             failure = ValueError(f"rank {rank} infeasible: mode-{n} system has only {other} rows")
     # the blocks still sweeping, by their index in ``tensors``
@@ -124,16 +128,14 @@ def cpd_als_stack(tensors, rank, opts, seeds):
     norm = [math.sqrt(x) for x in norm_sq]
     rel = [0.0 if x == 0.0 else 1.0 for x in norm]
     history = [[] for _ in range(size)]
-    # per mode, the blocks whose factor no solve has set yet: a zero ridge
-    # leaves such a factor a C-ordered zero array, as zeros_like of its draw
-    unsolved = [set(rows) for _ in dims]
+
+    def model(i):
+        return KruskalTensor([f[i] for f in factors], np.ones(rank))
 
     def finish(sel, it, converged):
         for i in sel:
             j = rows[i]
-            model = KruskalTensor([np.zeros(f.shape[1:]) if it and j in unsolved[n] else f[i]
-                                   for n, f in enumerate(factors)], np.ones(rank))
-            out[j] = AlsResult(model, rel[i], history[j], n_iter=it, converged=converged)
+            out[j] = AlsResult(model(i), rel[i], history[j], n_iter=it, converged=converged)
 
     eye = np.eye(rank)
     others = [[m for m in range(len(dims)) if m != n] for n in range(len(dims))]
@@ -146,19 +148,13 @@ def cpd_als_stack(tensors, rank, opts, seeds):
             for m in other[1:]:
                 v = v * grams[m]
             ridge = 1e-12 * v.trace(axis1=-2, axis2=-1) / rank
-            pos = ridge > 0.0
-            if unsolved[n]:
-                unsolved[n].difference_update(np.compress(pos, rows).tolist())
-            # a factor is the transposed solve, as a single block's solve
-            # leaves it; a zero ridge means all-zero Khatri-Rao columns, so
-            # any factor fits, and it is 0
-            a, b = v + ridge[:, None, None] * eye, mtt.swapaxes(-1, -2)
-            if pos.all():
-                sol = np.linalg.solve(a, b)
-            else:
-                sol = np.zeros(b.shape)
-                if pos.any():
-                    sol[pos] = np.linalg.solve(a[pos], b[pos])
+            # a factor is the transposed solve.  A ridge that is not positive
+            # means all-zero Khatri-Rao columns, so any factor fits, or a
+            # diverging block's NaN system: that slot solves I x = 0 instead,
+            # to the factor 0, and keeps its NaNs out of LAPACK
+            pos = (ridge > 0.0)[:, None, None]
+            a = np.where(pos, v + ridge[:, None, None] * eye, eye)
+            sol = np.linalg.solve(a, np.where(pos, mtt.swapaxes(-1, -2), 0.0))
             factors[n] = sol.swapaxes(-1, -2)
             grams[n] = sol @ factors[n]
             if n == 0:
@@ -178,7 +174,7 @@ def cpd_als_stack(tensors, rank, opts, seeds):
             res = (norm_sq[i] - 2.0 * float(np.vdot(factors[-1][i], mtt[i]))
                    + float(np.vdot(v[i], grams[-1][i])))
             if res < 1e-3 * norm_sq[i]:
-                res = _explicit_residual_sq(t[i], [f[i] for f in factors])
+                res = residual_sq(t[i], model(i))
             new_rel = math.sqrt(max(res, 0.0)) / norm[i] if norm[i] > 0.0 else 0.0
             history[j].append(new_rel)
             if abs(rel[i] - new_rel) < opts.tol:
@@ -195,9 +191,3 @@ def cpd_als_stack(tensors, rank, opts, seeds):
             partial = None
     finish(range(len(rows)), it, False)
     return out
-
-
-def _explicit_residual_sq(t, factors):
-    """``||T - [[U_1..U_N]]||^2`` from the formed reconstruction."""
-    d = matricize(t, 0) - factors[0] @ factors_khatri_rao(factors, skip=0).T
-    return float(np.vdot(d, d))

@@ -10,12 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import factors_khatri_rao, refold
+from .tensor_ops import factors_khatri_rao, khatri_rao, refold
 
 __all__ = [
     "KruskalTensor",
     "CoupledFactorSet",
     "reconstruct",
+    "residual_sq",
     "normalize_columns",
 ]
 
@@ -116,6 +117,16 @@ def reconstruct(k):
     """
     unfolded = (k.factors[0] * k.weights) @ factors_khatri_rao(k.factors, skip=0).T
     return refold(unfolded, 0, k.dims)
+
+
+def residual_sq(tensor, k):
+    """``||T - [[lam; U]]||_F^2`` from the formed residual, on the C-order
+    view of ``T``, whose columns run over ``(i_2, ..., i_N)`` last index
+    fastest, as the rows of ``khatri_rao(U[1:])`` do; a C-contiguous
+    ``tensor`` is not copied."""
+    x0 = (k.factors[0] * k.weights) @ khatri_rao(k.factors[1:]).T
+    d = tensor.reshape(tensor.shape[0], -1) - x0
+    return float(np.einsum("ij,ij->", d, d))
 
 
 def normalize_columns(k):

@@ -24,8 +24,9 @@ all-modes gram product, which the evaluation of the last iterate formed,
 and for a factor the other modes' gram product scaled by ``lam lam^T``
 (:func:`factor_surrogate`).  The shared columns are one slice, stepped
 along the gradient summed over the block axis of every group.  Blocks of
-other dims or ranks form further groups, a lone block a group of one;
-there is no per-block iteration.
+other dims or ranks form further groups, a lone block a group of one.
+Every update and every gram expansion runs per group; only the explicit
+residuals below and the lra mode's QR route go block by block.
 
 The two modes differ only in the data the iteration fits, and so in where
 its linear terms come from.  Both score an iterate by one gram expansion,
@@ -88,13 +89,12 @@ import numpy as np
 # bound here because the benchmark's tracer wraps it by this name
 from .cpd_als import AlsOptions, cpd_als, cpd_als_stack  # noqa: F401
 from .cpd_als import cpd_als as _fit_common
-from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct
+from .kruskal import CoupledFactorSet, KruskalTensor, reconstruct, residual_sq
 # the solver no longer calls ``matricize`` or ``factors_khatri_rao``; they
 # stay bound here because the benchmark's tracer wraps them by these names
 from .tensor_ops import (  # noqa: F401
     factors_khatri_rao,
     hadamard_gram,
-    khatri_rao,
     matricize,
     mttkrp,
     mttkrp_partial,
@@ -192,9 +192,13 @@ class CoupledProblem:
         if self.mode not in ("full", "lra"):
             raise ValueError(f"unknown mode {self.mode!r}")
         order = self.tensors[0].ndim
+        if order < 2:
+            raise ValueError(f"block 0 has order {order}, need 2 or more")
         for s, t in enumerate(self.tensors):
             if t.ndim != order:
                 raise ValueError(f"block {s} has order {t.ndim}, expected {order}")
+            if 0 in t.shape:
+                raise ValueError(f"block {s} has an empty mode: dims {t.shape}")
             if not np.isfinite(t).all():
                 raise ValueError(f"block {s} contains non-finite values")
             if (t < 0).any():
@@ -311,17 +315,9 @@ class SolveResult:
 
 
 def objective(tensors, blocks):
-    """``1/2 sum_s ||M_s - [[lam_s; U_s]]||_F^2`` via explicit residuals."""
-    return sum(0.5 * _residual_sq(t, k) for t, k in zip(tensors, blocks))
-
-
-def _residual_sq(tensor, block):
-    """``||M - [[lam; U]]||_F^2`` from the formed residual, on the C-order
-    view of ``M``, whose columns run over ``(i_2, ..., i_N)`` last index
-    fastest, as the rows of ``khatri_rao(U[1:])`` do."""
-    x0 = (block.factors[0] * block.weights) @ khatri_rao(block.factors[1:]).T
-    d = tensor.reshape(tensor.shape[0], -1) - x0
-    return float(np.einsum("ij,ij->", d, d))
+    """``1/2 sum_s ||M_s - [[lam_s; U_s]]||_F^2`` via explicit residuals
+    (:func:`concpd.kruskal.residual_sq`)."""
+    return sum(0.5 * residual_sq(t, k) for t, k in zip(tensors, blocks))
 
 
 def core_gradient(gram_all, lam_hat, linear):
@@ -586,9 +582,9 @@ class _Apg:
             self.data_sq[g.idx] = g.data_sq
         self.fit_div, self.raw_div = (np.where(norm > 0.0, norm, np.inf)
                                       for norm in np.sqrt([self.data_sq, self.norm_sq]))
-        # per group, the core linear terms of the last accepted iterate, and
-        # all of that iterate's _evaluate values, which solve() seeds
-        self.b = self.accepted = None
+        # all of the last accepted iterate's _evaluate values, which solve()
+        # seeds; the core update reads its per-group core linear terms
+        self.accepted = None
         self._iter_tag = 0
 
         self.t_k, self.n_restarts = 1.0, 0
@@ -596,7 +592,7 @@ class _Apg:
     # -- block updates -----------------------------------------------------
 
     def _update_cores(self, w_hat):
-        for g, linear in zip(self.groups, self.b):
+        for g, linear in zip(self.groups, self.accepted[3]):
             if "core" not in g.perron:
                 g.perron["core"] = _grown_start(g.gram_all)
             ld = spectral_norm(g.gram_all, g.perron["core"])
@@ -635,7 +631,7 @@ class _Apg:
         if ln > 0:
             sum_lu = sum(float(lu.sum()) for _, lu, _, _ in parts)
             sum_prev, self.sum_lip[n] = self.sum_lip[n], sum_lu
-            # the rule of extrapolation_weight, on two floats
+            # the rule of extrapolation_weight on two floats, without its numpy calls
             w_common = (min(w_hat, self.o.delta_w * math.sqrt(sum_prev / sum_lu))
                         if sum_prev > 0.0 and sum_lu > 0.0 else 0.0)
             first = self.groups[0]
@@ -694,10 +690,6 @@ class _Apg:
         core = reconstruct(KruskalTensor(coeffs, weights))
         return float(np.vdot(core, core))
 
-    def _raw_linear(self, g):
-        """:func:`core_linear_term` of group ``g``'s raw tensor stack."""
-        return core_linear_term(g.data, g.u)
-
     def _rel(self, res, div):
         """Mean over blocks of ``sqrt(res_s) / div_s``, with ``div`` one of
         the cached norm divisors, once every block's residual is finite."""
@@ -739,7 +731,7 @@ class _Apg:
             elif mtt is not None:
                 b = np.einsum("sir,sir->sr", g.u[-1], mtt[i])
             else:  # at the start
-                b = self._raw_linear(g)
+                b = core_linear_term(g.data, g.u)
             staged.append(b)
             res[g.idx] = g.data_sq - 2.0 * np.einsum("sr,sr->s", g.lam, b) + quad
             model_sq[g.idx] = quad
@@ -748,7 +740,7 @@ class _Apg:
             # the expansion cancels badly once a residual is small, and the
             # restart rule decides on explicit values only
             if (res < 1e-3 * self.data_sq).any() or not obj < bound:
-                res = np.array(list(map(_residual_sq, self.p.tensors, self.curr)))
+                res = np.array(list(map(residual_sq, self.p.tensors, self.curr)))
                 obj = 0.5 * float(res.sum())
         else:
             obj = 0.5 * float((res + err).sum())
@@ -766,7 +758,7 @@ class _Apg:
             return obj, rel
         lin = np.empty(self.S)
         for g in self.groups:
-            lin[g.idx] = np.einsum("sr,sr->s", g.lam, self._raw_linear(g))
+            lin[g.idx] = np.einsum("sr,sr->s", g.lam, core_linear_term(g.data, g.u))
         res = self.norm_sq - 2.0 * lin + model_sq
         return 0.5 * float(np.maximum(res, 0.0).sum()), self._rel(res, self.raw_div)
 
@@ -852,7 +844,7 @@ def solve(problem, opts=None):
     state = _Apg(problem, opts, tilde)
     t0 = time.perf_counter()
 
-    obj, rel_fit, model_sq, state.b = state.accepted = state._evaluate()
+    obj, rel_fit, model_sq, _ = state.accepted = state._evaluate()
     obj_orig, rel_err = state._report(obj, rel_fit, model_sq)
     obj_history, rel_history = [obj], [rel_err]
     trace = [TraceRow(0, obj_orig, rel_err, time.perf_counter() - t0)]
@@ -861,7 +853,7 @@ def solve(problem, opts=None):
     row = trace[0]
     for k in range(1, opts.max_iter + 1):
         state._iter_tag = k
-        obj, new_fit, model_sq, state.b = state._step(obj_history[-1])
+        obj, new_fit, model_sq, _ = state._step(obj_history[-1])
         obj_orig, new_rel = state._report(obj, new_fit, model_sq)
         obj_history.append(obj)
         rel_history.append(new_rel)

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches functions by their names in ``concpd``
-modules; every name it wraps must stay bound there.
+modules; every name it wraps must stay bound there, and no other name may
+be imported and left unused.
 
 ``benchmark/workloads.py`` is read with ``ast`` rather than imported, so the
 harness and its imports stay out of the test run.
@@ -9,7 +10,8 @@ import ast
 import importlib
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "benchmark" / "workloads.py"
 
 
 def traced_bindings():
@@ -43,3 +45,27 @@ def test_every_traced_name_resolves():
     for module_path, attr in pairs:
         module = importlib.import_module(module_path)
         assert callable(getattr(module, attr, None)), f"{module_path}.{attr} is not bound"
+
+
+def unused_imports(path):
+    """Names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unused_import_is_a_traced_binding():
+    # such an import is kept for the tracer alone; once the tracer drops
+    # the name, this fails until the import goes too
+    traced = set(traced_bindings())
+    modules = sorted((ROOT / "src" / "concpd").glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        module = f"concpd.{path.stem}"
+        for name in sorted(unused_imports(path)):
+            assert (module, name) in traced, f"{module} imports {name} and never uses it"

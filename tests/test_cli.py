@@ -222,6 +222,18 @@ def test_resolved_settings_pin_the_cli_surface(tmp_path):
             assert float(settings[key]) == library[key], (command, key)
 
 
+@pytest.mark.parametrize("mode", ["full", "lra"])
+def test_solve_names_a_block_with_an_empty_mode(tmp_path, capsys, mode):
+    problem = tmp_path / "p"
+    problem.mkdir()
+    (problem / "block_00.dtt").write_text("dims: 0 3 4\n")
+    (problem / "manifest.txt").write_text(
+        "blocks: 1\ncoupled: 0 0 0\nranks: 2\ntensor 0: block_00.dtt\n")
+    assert run("solve", "--problem", problem / "manifest.txt", "--mode", mode,
+               "--out", tmp_path / "s") == 1
+    assert "error: block 0 has an empty mode: dims (0, 3, 4)" in capsys.readouterr().err
+
+
 def test_solve_missing_problem_fails_with_path(tmp_path, capsys):
     assert run("solve", "--problem", tmp_path / "nope.txt",
                "--out", tmp_path / "s") == 1

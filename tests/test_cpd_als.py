@@ -54,6 +54,14 @@ def test_reported_rel_err_matches_reconstruction():
     res = cpd_als(t, 2, AlsOptions(seed=4))
     direct = np.linalg.norm(t - reconstruct(res.model)) / np.linalg.norm(t)
     assert res.rel_err == pytest.approx(direct, rel=1e-10)
+    # an exact fit, whose residual the gram expansion would bury in its
+    # cancellation error (about sqrt(eps) in the relative error): the value
+    # comes from the explicit residual
+    t = rank_r_tensor(np.random.default_rng(4), (5, 4, 6), 2)
+    res = cpd_als(t, 2, AlsOptions(seed=4))
+    direct = np.linalg.norm(t - reconstruct(res.model)) / np.linalg.norm(t)
+    assert res.rel_err < 1e-10
+    assert res.rel_err == pytest.approx(direct, rel=1e-3)
 
 
 def test_output_shapes_regardless_of_convergence():
@@ -67,6 +75,9 @@ def test_output_shapes_regardless_of_convergence():
 def test_rank_infeasible():
     with pytest.raises(ValueError, match="infeasible"):
         cpd_als(np.ones((2, 2, 2)), 5)
+    # a size-0 mode leaves the other modes' systems without rows
+    with pytest.raises(ValueError, match="rank 2 infeasible: mode-1 system has only 0 rows"):
+        cpd_als(np.zeros((0, 3, 4)), 2)
 
 
 def test_non_finite_input_rejected():

@@ -8,6 +8,7 @@ from concpd.kruskal import (
     KruskalTensor,
     normalize_columns,
     reconstruct,
+    residual_sq,
 )
 
 
@@ -75,6 +76,16 @@ def test_reconstruct_matches_oracle(dims, rank):
     rng = np.random.default_rng(2)
     k = random_model(rng, dims, rank)
     assert np.allclose(reconstruct(k), reconstruct_oracle(k.factors, k.weights), atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (2, 3, 4, 3), (2, 3, 2, 3, 2)])
+def test_residual_sq_matches_the_reconstructed_residual(dims):
+    rng = np.random.default_rng(len(dims))
+    k = random_model(rng, dims, 3)
+    t = rng.random(dims)
+    want = np.linalg.norm(t - reconstruct(k)) ** 2
+    assert residual_sq(t, k) == pytest.approx(want, rel=1e-12)
+    assert residual_sq(np.asfortranarray(t), k) == pytest.approx(want, rel=1e-12)
 
 
 def test_reconstruct_rank_one():

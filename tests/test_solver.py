@@ -356,8 +356,8 @@ def test_full_objective_from_gram_expansion_matches_explicit(monkeypatch):
     # entries come from the gram expansion, which must agree with it
     prob = make_problem(6, snr_db=20.0)
     explicit = []
-    formed = solver_module._residual_sq
-    monkeypatch.setattr(solver_module, "_residual_sq",
+    formed = solver_module.residual_sq
+    monkeypatch.setattr(solver_module, "residual_sq",
                         lambda t, k: explicit.append(1) or formed(t, k))
     res = solve(prob, SolverOptions(max_iter=60, tol=1e-300, seed=1))
     assert res.n_iter == 60
@@ -488,11 +488,11 @@ def test_staged_core_terms_are_exact_across_restarts():
     # restart must never let a product of the discarded sweep through
     prob = make_problem(16, snr_db=10.0)
     state = solver_module._Apg(prob, SolverOptions(seed=5), None)
-    obj, *_, state.b = state._evaluate()
+    obj, *_ = state.accepted = state._evaluate()
     for k in range(1, 401):
         state._iter_tag = k
-        obj, *_, state.b = state._step(obj)
-        assert_staged_terms_exact(state, state.b)
+        obj, *_ = state._step(obj)
+        assert_staged_terms_exact(state, state.accepted[3])
         if state.n_restarts >= 2:
             break
     assert state.n_restarts >= 2
@@ -514,10 +514,10 @@ def test_cached_gram_product_is_current_at_every_core_update(monkeypatch):
     monkeypatch.setattr(solver_module._Apg, "_update_cores", checked)
     prob = make_problem(16, snr_db=10.0)
     state = solver_module._Apg(prob, SolverOptions(seed=5), None)
-    obj, *_, state.b = state._evaluate()
+    obj, *_ = state.accepted = state._evaluate()
     for k in range(1, 401):
         state._iter_tag = k
-        obj, *_, state.b = state._step(obj)
+        obj, *_ = state._step(obj)
         assert_current(state)
         if state.n_restarts >= 2:
             break
@@ -531,10 +531,10 @@ def test_full_steps_rewrite_one_partial_buffer_per_group():
     prob = PINNED_SOLVES["stacks-full"][0]()
     state = solver_module._Apg(prob, SolverOptions(seed=0), None)
     assert len(state.groups) > 1
-    obj, *_, state.b = state._evaluate()
-    obj, *_, state.b = state._step(obj)
+    obj, *_ = state.accepted = state._evaluate()
+    obj, *_ = state._step(obj)
     before = [g.partial for g in state.groups]
-    obj, *_, state.b = state._step(obj)
+    obj, *_ = state._step(obj)
     for g, old in zip(state.groups, before):
         assert g.partial.shape == g.data.shape[:1] + g.data.shape[2:] + g.u[0].shape[-1:]
         assert np.shares_memory(old, g.partial)
@@ -581,12 +581,12 @@ def test_a_dead_block_in_a_live_group_stays_put(rank, counts):
     g, keys, dead = state.groups[0], [*range(3), "core"], set()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        obj, *_, state.b = state._evaluate()
+        obj, *_ = state.accepted = state._evaluate()
         history = [obj]
         for k in range(1, 61):
             state._iter_tag = k
             before = [u[0, :, c:].copy() for u, c in zip(g.u, counts)] + [g.lam[0].copy()]
-            obj, *_, state.b = state._step(obj)
+            obj, *_ = state._step(obj)
             history.append(obj)
             after = [u[0, :, c:] for u, c in zip(g.u, counts)] + [g.lam[0]]
             for key, old, new in zip(keys, before, after):
@@ -669,13 +669,13 @@ def test_lra_certificate_holds_for_sign_indefinite_compressions():
     facs = np.concatenate([f.ravel() for k in tilde for f in k.factors])
     assert (facs < 0.0).any() and (facs > 0.0).any()
     state = solver_module._Apg(prob, SolverOptions(seed=1), tilde)
-    obj, *_, state.b = state._evaluate()
+    obj, *_ = state.accepted = state._evaluate()
     for k in range(1, 61):
         state._iter_tag = k
         exact = 0.5 * sum(np.linalg.norm(reconstruct(t) - reconstruct(b)) ** 2
                           for t, b in zip(tilde, state.curr))
         assert state._evaluate(np.inf)[0] >= exact, f"iteration {k - 1}"
-        obj, *_, state.b = state._step(obj)
+        obj, *_ = state._step(obj)
 
 
 def test_lra_internal_rel_err_is_the_compressed_models():
@@ -898,6 +898,14 @@ def test_problem_validation_errors():
         CoupledProblem([good, np.ones((4, 3, 3))], 2, [1, 0, 0]).validate()
     with pytest.raises(ValueError, match="one rank per block"):
         CoupledProblem([good], [2, 2], [0, 0, 0]).validate()
+
+
+def test_problem_validation_names_an_empty_or_order_one_block():
+    good = np.ones((3, 3, 3))
+    with pytest.raises(ValueError, match=r"block 1 has an empty mode: dims \(3, 0, 3\)"):
+        CoupledProblem([good, np.ones((3, 0, 3))], 2, [0, 0, 0]).validate()
+    with pytest.raises(ValueError, match="block 0 has order 1, need 2 or more"):
+        CoupledProblem([np.ones(4), np.ones(4)], 1, [0]).validate()
 
 
 def test_solver_options_validation():
