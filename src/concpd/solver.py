@@ -391,7 +391,8 @@ def t_next(t):
 
 def extrapolation_weight(w_hat, lip_prev, lip_curr, delta_w):
     """``min(w_hat, delta_w * sqrt(L_prev / L_curr))`` for ``w_hat >= 0``; 0
-    where either bound is 0.  Element-wise over arrays of step bounds."""
+    where either bound is 0.  Element-wise over arrays of step bounds, or
+    on the summed bounds of the shared columns."""
     ratio = lip_prev / np.where(lip_curr > 0.0, lip_curr, np.inf)
     return np.minimum(w_hat, delta_w * np.sqrt(ratio))
 
@@ -630,10 +631,8 @@ class _Apg:
 
         if ln > 0:
             sum_lu = sum(float(lu.sum()) for _, lu, _, _ in parts)
-            sum_prev, self.sum_lip[n] = self.sum_lip[n], sum_lu
-            # the rule of extrapolation_weight on two floats, without its numpy calls
-            w_common = (min(w_hat, self.o.delta_w * math.sqrt(sum_prev / sum_lu))
-                        if sum_prev > 0.0 and sum_lu > 0.0 else 0.0)
+            w_common = extrapolation_weight(w_hat, self.sum_lip[n], sum_lu, self.o.delta_w)
+            self.sum_lip[n] = sum_lu
             first = self.groups[0]
             c_curr = first.u[n][0, :, :ln]
             c_hat = c_curr + w_common * (c_curr - first.u_prev[n][0, :, :ln])
