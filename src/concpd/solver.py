@@ -26,7 +26,7 @@ and for a factor the other modes' gram product scaled by ``lam lam^T``
 along the gradient summed over the block axis of every group.  Blocks of
 other dims or ranks form further groups, a lone block a group of one.
 Every update and every gram expansion runs per group; only the explicit
-residuals below and the lra mode's QR route go block by block.
+residuals below go block by block.
 
 The two modes differ only in the data the iteration fits, and so in where
 its linear terms come from.  Both score an iterate by one gram expansion,
@@ -59,8 +59,10 @@ staged per group for the next core update.
   already at hand).  The expansion plus that bound, an
   upper bound of the true value, is kept when it lies strictly below the
   last recorded objective.  Otherwise, as at the start and after a
-  restart, the expansion is used as is, and a stable QR route wherever the
-  compressed residual is below ``1e-3 ||M~||^2``.  A separate report reads
+  restart, the expansion is used as is, and wherever the compressed
+  residual is below ``1e-3 ||M~||^2`` the explicit residual against the
+  reconstructed compression (:func:`concpd.kruskal.residual_sq`).  A
+  separate report reads
   the raw tensors once per recorded iterate, by the same expansion, for the
   trace's objective and relative error; evaluations that a restart rejects
   never touch them.  The stopping rule fires when that
@@ -672,23 +674,6 @@ class _Apg:
 
     # -- objective / relative error ----------------------------------------
 
-    def _small_residual_sq(self, s):
-        """Stable ``||M~ - X||^2`` via per-mode QR of the stacked factors.
-
-        The residual of two Kruskal models lives in the span of their
-        concatenated factors; rotating into that basis gives a small dense
-        core whose norm is free of the cancellation that ruins the gram
-        expansion once the residual is tiny.
-        """
-        tilde = self.tilde[s]
-        weights = np.concatenate([tilde.weights, -self.curr[s].weights])
-        coeffs = []
-        for n in range(self.N):
-            stacked = np.hstack([tilde.factors[n], self.curr[s].factors[n]])
-            coeffs.append(np.linalg.qr(stacked, mode="r"))
-        core = reconstruct(KruskalTensor(coeffs, weights))
-        return float(np.vdot(core, core))
-
     def _rel(self, res, div):
         """Mean over blocks of ``sqrt(res_s) / div_s``, with ``div`` one of
         the cached norm divisors, once every block's residual is finite."""
@@ -714,8 +699,9 @@ class _Apg:
         strictly below ``bound``; otherwise every block's residual is formed
         explicitly, as it always is at the default bound.  In lra mode the
         expansion plus its rounding-error bound is returned if it lies
-        strictly below ``bound``; otherwise the QR route takes over wherever
-        the compressed residual is small.
+        strictly below ``bound``; otherwise the explicit residual against
+        the reconstructed compression takes over wherever the compressed
+        residual is small.
         """
         res, model_sq, err = np.empty((3, self.S))
         staged = []
@@ -745,7 +731,7 @@ class _Apg:
             obj = 0.5 * float((res + err).sum())
             if not obj < bound:
                 for s in np.flatnonzero(res < 1e-3 * self.data_sq):
-                    res[s] = self._small_residual_sq(s)
+                    res[s] = residual_sq(reconstruct(self.tilde[s]), self.curr[s])
                 obj = 0.5 * float(np.maximum(res, 0.0).sum())
         return obj, self._rel(res, self.fit_div), model_sq, staged
 

@@ -621,8 +621,9 @@ def test_solution_is_nonnegative():
 
 
 def test_lra_evaluate_keeps_the_expansion_only_when_certified(monkeypatch):
-    # the compressed residual is small (so the exact route is QR), and a
-    # second compression adds two components that cancel exactly, whose
+    # the compressed residual is small (so the exact route forms the
+    # residual against the reconstructed compression), and a second
+    # compression adds two components that cancel exactly, whose
     # absolute-value grams make the expansion's error bound useless
     rng = np.random.default_rng(19)
     dims, counts = (5, 6, 7), [1, 1, 1]
@@ -634,10 +635,10 @@ def test_lra_evaluate_keeps_the_expansion_only_when_certified(monkeypatch):
                              counts)
     problem = CoupledProblem([reconstruct(k) for k in truth], 3, counts, mode="lra")
     monkeypatch.setattr(solver_module, "init_factors", lambda prob, seed: start)
-    qr_calls = []
-    qr = solver_module._Apg._small_residual_sq
-    monkeypatch.setattr(solver_module._Apg, "_small_residual_sq",
-                        lambda self, s: qr_calls.append(s) or qr(self, s))
+    exact_calls = []
+    residual = solver_module.residual_sq
+    monkeypatch.setattr(solver_module, "residual_sq",
+                        lambda t, k: exact_calls.append(k) or residual(t, k))
 
     def cancelling(k):
         vec = [rng.random((d, 1)) for d in dims]
@@ -648,9 +649,9 @@ def test_lra_evaluate_keeps_the_expansion_only_when_certified(monkeypatch):
         state = solver_module._Apg(problem, SolverOptions(seed=0), tilde)
         exact = 0.5 * sum(np.linalg.norm(reconstruct(t) - reconstruct(k)) ** 2
                           for t, k in zip(tilde, state.curr))
-        qr_calls.clear()
+        exact_calls.clear()
         got = state._evaluate(exact * (1.0 + 1e-6))[0]
-        assert len(qr_calls) == (0 if certified else 2)
+        assert len(exact_calls) == (0 if certified else 2)
         if certified:
             assert exact <= got <= exact * (1.0 + 1e-6)
         else:
@@ -676,6 +677,50 @@ def test_lra_certificate_holds_for_sign_indefinite_compressions():
                           for t, b in zip(tilde, state.curr))
         assert state._evaluate(np.inf)[0] >= exact, f"iteration {k - 1}"
         obj, *_ = state._step(obj)
+
+
+def dense_longdouble(k):
+    """The tensor of a Kruskal model, formed in ``np.longdouble``."""
+    facs = [f.astype(np.longdouble) for f in k.factors]
+    return np.einsum("r,ir,jr,kr->ijk", k.weights.astype(np.longdouble), *facs)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "cancelling"])
+def test_lra_exact_route_is_precise_at_small_residuals(monkeypatch, signed):
+    # at the default bound every block's residual is small, so _evaluate
+    # forms each one explicitly; against a long-double reference it must
+    # hold at relative residuals far below the gram expansion's reach, also
+    # for a compression with two components of weight +-10 that cancel
+    rng = np.random.default_rng(23)
+    dims, rank = (6, 7, 8), 4
+    truth = [KruskalTensor([rng.random((d, rank)) for d in dims], rng.uniform(0.5, 1.5, rank))
+             for _ in range(2)]
+    tilde = truth
+    if signed:
+        pairs = [[rng.random((d, 1)) for d in dims] for _ in truth]
+        tilde = [KruskalTensor([np.hstack([f, v, v]) for f, v in zip(k.factors, vec)],
+                               np.concatenate([k.weights, [10.0, -10.0]]))
+                 for k, vec in zip(truth, pairs)]
+    problem = CoupledProblem([reconstruct(k) for k in truth], rank, [0, 0, 0], mode="lra")
+    state = solver_module._Apg(problem, SolverOptions(seed=0), tilde)
+    exact_calls = []
+    residual = solver_module.residual_sq
+    monkeypatch.setattr(solver_module, "residual_sq",
+                        lambda t, k: exact_calls.append(k) or residual(t, k))
+    (g,) = state.groups
+    for rel in 10.0 ** -np.arange(2, 11):
+        for j, k in enumerate(truth):
+            for n, f in enumerate(k.factors):
+                g.u[n][j] = f * (1.0 + rel * rng.uniform(-1.0, 1.0, f.shape))
+            g.lam[j] = k.weights
+        for n in range(3):
+            g.refresh(n)
+        want = 0.5 * sum(float(np.sum((dense_longdouble(t) - dense_longdouble(b)) ** 2))
+                         for t, b in zip(tilde, state.curr))
+        exact_calls.clear()
+        got = state._evaluate()[0]
+        assert len(exact_calls) == 2
+        assert got == pytest.approx(want, rel=1e-5), f"relative residual {rel:g}"
 
 
 def test_lra_internal_rel_err_is_the_compressed_models():
