@@ -7,8 +7,9 @@ matrices mode by mode) at a Nesterov-extrapolated point, with the step size
 ``1/L`` set by an upper bound ``L`` on the spectral norm of the
 corresponding gram surrogate.  Those surrogates are entrywise nonnegative,
 so ``L`` is a Collatz-Wielandt (Perron) bound warm-started from the last
-update's power iterate (see :func:`concpd.tensor_ops.spectral_norm`); a
-larger ``L`` keeps the majorization.  If the objective fails to decrease
+update's power iterate, the first from ones (see
+:func:`concpd.tensor_ops.spectral_norm`); a larger ``L`` keeps the
+majorization.  If the objective fails to decrease
 the iteration is redone from the non-extrapolated points, which restores
 the majorization-minimization descent guarantee; where even that redo
 rises, by a rounding at a fixed point, the previous iterate is kept.
@@ -62,10 +63,9 @@ staged per group for the next core update.
   restart, the expansion is used as is, and wherever the compressed
   residual is below ``1e-3 ||M~||^2`` the explicit residual against the
   reconstructed compression (:func:`concpd.kruskal.residual_sq`).  A
-  separate report reads
-  the raw tensors once per recorded iterate, by the same expansion, for the
-  trace's objective and relative error; evaluations that a restart rejects
-  never touch them.  The stopping rule fires when that
+  separate report reads the raw tensors once per recorded iterate, by the
+  same expansion, for the trace's objective and relative error; evaluations
+  that a restart rejects never touch them.  The stopping rule fires when that
   relative error or the compressed models' (``sqrt(res~) / ||M~||``
   averaged over blocks) stalls.
 
@@ -102,9 +102,6 @@ from .tensor_ops import (  # noqa: F401
     mttkrp_partial,
     spectral_norm,
 )
-# growing a Perron vector has a name of its own, so that calls of
-# ``spectral_norm`` through this module are the step bounds alone
-from .tensor_ops import spectral_norm as _power_steps
 
 __all__ = [
     "CoupledProblem",
@@ -464,8 +461,6 @@ def _point_at_common(tensors, common, seed):
 # the solver
 # ---------------------------------------------------------------------------
 
-# power steps that grow a step bound's start from ones before its first use
-_GROW_STEPS = 10
 # the least positive float: a step divides by it where its bound, and so its
 # gradient, is 0, which leaves the variable as it is
 _TINY = 5e-324
@@ -474,16 +469,6 @@ _TINY = 5e-324
 def _quad(x, mats, y):
     """``x_s^T mats_s y_s`` for every matrix of a stack."""
     return np.einsum("sr,srq,sq->s", x, mats, y)
-
-
-def _grown_start(mat):
-    """A start for :func:`spectral_norm`'s bounds on the ``(S, R, R)`` stack
-    ``mat``: ones after ``_GROW_STEPS`` power steps on ``mat``, so that the
-    first bound is close to the norm too."""
-    start = np.ones(mat.shape[:-1])
-    for _ in range(_GROW_STEPS // 2):  # each call takes two steps
-        _power_steps(mat, start)
-    return start
 
 
 class _Group:
@@ -497,9 +482,10 @@ class _Group:
     or restored iterate, ``data_sq``, the fitted data's ``||M||^2``,
     ``lip``, the step bounds of the last update by ``"core"`` or mode, zero
     before the first, which so takes no extrapolation, and ``perron``, by
-    the same keys, the ``(S, R)`` starts of those bounds, which each bound
-    carries forward to the next (:func:`spectral_norm`); any positive start
-    gives a valid bound, so a restart leaves them be.  In lra mode
+    the same keys, the ``(S, R)`` starts of those bounds, ones at
+    construction, which each bound carries forward to the next
+    (:func:`spectral_norm`); any positive start gives a valid bound, so a
+    restart leaves them be.  In lra mode
     ``cross`` holds the cross-grams ``U~_n^T U_n``, ``(N, S, R~, R)``, one
     product per mode update, and ``tilde_abs`` the norms
     ``||[[|mu|; |U~|]]||`` that scale the expansion's rounding-error bound.
@@ -517,7 +503,7 @@ class _Group:
         size, rank = self.lam.shape
         self.gram = np.empty((order, size, rank, rank))
         self.lip = dict.fromkeys(["core", *range(order)], np.zeros(size))
-        self.perron = {}
+        self.perron = {key: np.ones((size, rank)) for key in self.lip}
         self.data_sq = norm_sq[idx]
         self.tilde_t = None
         if tilde is not None:
@@ -596,8 +582,6 @@ class _Apg:
 
     def _update_cores(self, w_hat):
         for g, linear in zip(self.groups, self.accepted[3]):
-            if "core" not in g.perron:
-                g.perron["core"] = _grown_start(g.gram_all)
             ld = spectral_norm(g.gram_all, g.perron["core"])
             w = extrapolation_weight(w_hat, g.lip["core"], ld, self.o.delta_w)
             g.lip["core"] = ld
@@ -618,8 +602,6 @@ class _Apg:
             for m in others[1:]:
                 gram_skip = gram_skip * g.gram[m]
             h = factor_surrogate(gram_skip, g.lam)
-            if n not in g.perron:
-                g.perron[n] = _grown_start(h)
             lu = spectral_norm(h, g.perron[n])
             w = extrapolation_weight(w_hat, g.lip[n], lu, self.o.delta_w)
             g.lip[n] = lu

@@ -124,10 +124,10 @@ def test_compressed_factor_linear_term_matches_full():
 
 
 def perron_bound(g):
-    """The step bound on ``g`` from a start grown as the solver grows it,
+    """The step bound on ``g`` from a start of ones, as the solver's first,
     carried over further calls until it settles on the norm."""
-    start = solver_module._grown_start(g)
-    for _ in range(50):
+    start = np.ones(g.shape[-1])
+    for _ in range(55):
         got = spectral_norm(g, start)
         assert got >= np.linalg.eigvalsh(g)[-1] * (1.0 - 1e-13)
     return got
@@ -161,8 +161,8 @@ BOUND_CASES = ["full", "lra-noisy", "fixed-core", "ranks-full", "stacks-lra"]
 @pytest.mark.parametrize("case", BOUND_CASES)
 def test_one_step_bound_per_update_and_group(monkeypatch, case):
     # every step bound goes through ``solver.spectral_norm``, one batched
-    # call per group, variable and iteration, a redone iteration included;
-    # growing a start from ones at the first update is no step bound
+    # call per group, variable and iteration, a redone iteration included,
+    # and no other call does
     make, opts = PINNED_SOLVES[case]
     problem = make()
     calls = []
@@ -178,6 +178,27 @@ def test_one_step_bound_per_update_and_group(monkeypatch, case):
     per_iter = (problem.update_core + problem.order) * groups
     assert res.n_iter > 0 and all(calls)
     assert len(calls) == per_iter * (res.n_iter + res.n_restarts)
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_each_first_step_bound_starts_from_ones(monkeypatch, case):
+    # the first iteration's bounds are each variable's first, one per group
+    # and variable, and each starts its power steps from ones
+    make, opts = PINNED_SOLVES[case]
+    problem = make()
+    starts = []
+    bound = solver_module.spectral_norm
+
+    def seen(g, start):
+        starts.append(start.copy())
+        return bound(g, start)
+
+    monkeypatch.setattr(solver_module, "spectral_norm", seen)
+    solve(problem, SolverOptions(max_iter=1, seed=opts.seed))
+    groups = len({(t.shape, r) for t, r in zip(problem.tensors, problem.ranks)})
+    first = starts[:(problem.update_core + problem.order) * groups]
+    assert len(first) == (problem.update_core + problem.order) * groups
+    assert all((start == 1.0).all() for start in first)
 
 
 @pytest.mark.parametrize("case", BOUND_CASES)
@@ -826,17 +847,16 @@ PINNED_SOLVES = {
 }
 
 # (n_iter, n_restarts, final rel_err) of each solve; every one ends by
-# tolerance.  Re-recorded when the step bounds began to come from
-# warm-started Perron bounds
+# tolerance.  Re-recorded when every step bound's first start became ones
 PINNED_OUTCOMES = {
-    "full": (131, 2, 0.240192493839179),
-    "lra": (130, 1, 0.09841927715291923),
-    "lra-noisy": (288, 4, 0.25324954922718157),
-    "fixed-core": (228, 0, 0.09850660290664495),
-    "ranks-full": (166, 0, 0.42107098186084047),
-    "ranks-lra": (123, 3, 0.42991393505551556),
-    "stacks-full": (290, 1, 0.42298624251455713),
-    "stacks-lra": (129, 1, 0.43495717151854363),
+    "full": (132, 2, 0.240192553003931),
+    "lra": (113, 1, 0.09841712585826859),
+    "lra-noisy": (282, 4, 0.2532492048885988),
+    "fixed-core": (102, 0, 0.09856904352805124),
+    "ranks-full": (166, 0, 0.4210709904434118),
+    "ranks-lra": (123, 3, 0.4299138939375988),
+    "stacks-full": (290, 1, 0.42298625994271993),
+    "stacks-lra": (152, 1, 0.43502172817705914),
 }
 
 
