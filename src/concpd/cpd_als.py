@@ -189,5 +189,8 @@ def cpd_als_stack(tensors, rank, opts, seeds):
             t, factors, grams = t[keep], [f[keep] for f in factors], [g[keep] for g in grams]
             rows, norm_sq, norm, rel = ([x[i] for i in keep] for x in (rows, norm_sq, norm, rel))
             partial = None
+    if it == 0:  # no sweep ran: the drawn start's own error
+        rel = [math.sqrt(residual_sq(x, model(i))) / n if n > 0.0 else 0.0
+               for i, (x, n) in enumerate(zip(t, norm))]
     finish(range(len(rows)), it, False)
     return out

@@ -131,6 +131,8 @@ def load_tensor(path):
         flat = np.array(body.split(), dtype=float)
     except ValueError as exc:
         raise _bad(path, f"unparseable number: {exc}") from None
+    if min(dims) < 0:
+        raise _bad(path, f"negative size in dims {dims}")
     expected = int(np.prod(dims))
     if flat.size != expected:
         raise _bad(path, f"{flat.size} values for dims {dims} (need {expected})")
@@ -171,6 +173,8 @@ def load_model(path):
         raise _bad(path, f"unparseable header: {exc}") from None
     if len(dims) != order:
         raise _bad(path, f"{len(dims)} dims for order {order}")
+    if min(dims, default=0) < 0:
+        raise _bad(path, f"negative size in dims {dims}")
     if weights.size != rank:
         raise _bad(path, f"{weights.size} weights for rank {rank}")
     pos = 4

@@ -10,7 +10,7 @@ Ground-truth factors are uniform [0, 1) with the common prefix drawn once and
 shared; weights are uniform [0.5, 1.5) so that the core carries real scale
 information (a constant core would make the fixed-core solver variant look
 artificially good).  Tensors are the exact reconstruction, Gaussian-noised at
-``snr_db`` and clipped at zero; ``snr_db=None`` (or ``inf``) keeps them clean.
+``snr_db`` and clipped at zero; ``snr_db=None`` (or ``+inf``) keeps them clean.
 """
 
 from dataclasses import dataclass
@@ -46,6 +46,8 @@ class SynthSpec:
             raise ValueError("n_blocks must be >= 1")
         if self.size_factor < 1:
             raise ValueError("size_factor must be >= 1")
+        if self.snr_db is not None and not self.snr_db > -np.inf:  # NaN too
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
         dims, rank, coupled = self.resolve()
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError(f"dims must be three positive sizes, got {dims}")

@@ -234,6 +234,17 @@ def test_solve_names_a_block_with_an_empty_mode(tmp_path, capsys, mode):
     assert "error: block 0 has an empty mode: dims (0, 3, 4)" in capsys.readouterr().err
 
 
+def test_solve_names_a_file_with_negative_dims(tmp_path, capsys):
+    problem = tmp_path / "p"
+    problem.mkdir()
+    (problem / "block_00.dtt").write_text("dims: -2 -3\n1 2 3 4 5 6\n")
+    (problem / "manifest.txt").write_text(
+        "blocks: 1\ncoupled: 0 0\nranks: 1\ntensor 0: block_00.dtt\n")
+    assert run("solve", "--problem", problem / "manifest.txt",
+               "--out", tmp_path / "s") == 1
+    assert "block_00.dtt: negative size in dims (-2, -3)" in capsys.readouterr().err
+
+
 def test_solve_missing_problem_fails_with_path(tmp_path, capsys):
     assert run("solve", "--problem", tmp_path / "nope.txt",
                "--out", tmp_path / "s") == 1

@@ -8,6 +8,7 @@ import pytest
 
 from concpd.cpd_als import AlsOptions, cpd_als, cpd_als_stack
 from concpd.kruskal import KruskalTensor, reconstruct
+from concpd.solver import CoupledProblem, SolverOptions, solve
 
 
 def rank_r_tensor(rng, dims, rank):
@@ -62,6 +63,22 @@ def test_reported_rel_err_matches_reconstruction():
     direct = np.linalg.norm(t - reconstruct(res.model)) / np.linalg.norm(t)
     assert res.rel_err < 1e-10
     assert res.rel_err == pytest.approx(direct, rel=1e-3)
+
+
+def test_zero_sweeps_report_the_returned_models_error():
+    # no sweep runs, so the error is the drawn start's, as the lra mode
+    # reports it for its compressions too
+    t = np.random.default_rng(0).random((4, 5, 6))
+    res = cpd_als(t, 2, AlsOptions(max_iter=0))
+    direct = np.linalg.norm(t - reconstruct(res.model)) / np.linalg.norm(t)
+    assert res.n_iter == 0 and res.rel_err_history == []
+    assert res.rel_err == pytest.approx(direct, rel=1e-12)
+    problem = CoupledProblem([t, 2.0 * t], 2, [0, 0, 0], mode="lra",
+                             als_options=AlsOptions(max_iter=0))
+    got = solve(problem, SolverOptions(max_iter=0)).compression
+    assert got[0].rel_err == res.rel_err
+    direct = np.linalg.norm(2.0 * t - reconstruct(got[1].model)) / np.linalg.norm(2.0 * t)
+    assert got[1].rel_err == pytest.approx(direct, rel=1e-12)
 
 
 def test_output_shapes_regardless_of_convergence():

@@ -96,6 +96,12 @@ def test_tensor_reader_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="c.dtt"):
         load_tensor(not_numbers)
 
+    for dims in ("-2 -3", "2 -3"):
+        negative = tmp_path / "d.dtt"
+        negative.write_text(f"dims: {dims}\n1 2 3 4 5 6\n")
+        with pytest.raises(ValueError, match="d.dtt: negative size in dims"):
+            load_tensor(negative)
+
     with pytest.raises(OSError):
         load_tensor(tmp_path / "missing.dtt")
 
@@ -163,6 +169,11 @@ def test_model_reader_rejects_bad_files(tmp_path):
     path.write_text("order: 1\nrank: 2\ndims: 1\nlambda: 1 1\nfactor 0:\n1 2 3\n")
     with pytest.raises(ValueError, match="3 columns"):
         load_model(path)
+
+    path.write_text("order: 2\nrank: 1\ndims: -1 2\nlambda: 1\nfactor 0:\nfactor 1:\n1\n1\n")
+    with pytest.raises(ValueError, match="negative size in dims") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_model_reader_names_the_file_on_header_errors(tmp_path):

@@ -106,6 +106,10 @@ def test_spec_validation():
         SynthSpec(rank=0)
     with pytest.raises(ValueError, match="dims"):
         SynthSpec(dims=(5, 5))
+    # -inf dB is no signal at all, not a clean tensor
+    for snr in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match="snr_db"):
+            SynthSpec(snr_db=snr)
 
 
 def test_generated_tensors_are_views_of_one_stack():
