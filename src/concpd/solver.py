@@ -6,10 +6,9 @@ projected gradient step per variable (core weight vectors first, then factor
 matrices mode by mode) at a Nesterov-extrapolated point, with the step size
 ``1/L`` set by an upper bound ``L`` on the spectral norm of the
 corresponding gram surrogate.  Those surrogates are entrywise nonnegative,
-so ``L`` is a Collatz-Wielandt (Perron) bound warm-started from the last
-update's power iterate, the first from ones (see
-:func:`concpd.tensor_ops.spectral_norm`); a larger ``L`` keeps the
-majorization.  If the objective fails to decrease
+so ``L`` is a Collatz-Wielandt (Perron) bound of a power iterate begun at
+ones and carried between updates (see :func:`concpd.tensor_ops.spectral_norm`);
+a larger ``L`` keeps the majorization.  If the objective fails to decrease
 the iteration is redone from the non-extrapolated points, which restores
 the majorization-minimization descent guarantee; where even that redo
 rises, by a rounding at a fixed point, the previous iterate is kept.
@@ -60,12 +59,11 @@ staged per group for the next core update.
   already at hand).  The expansion plus that bound, an
   upper bound of the true value, is kept when it lies strictly below the
   last recorded objective.  Otherwise, as at the start and after a
-  restart, the expansion is used as is, and wherever the compressed
-  residual is below ``1e-3 ||M~||^2`` the explicit residual against the
-  reconstructed compression (:func:`concpd.kruskal.residual_sq`).  A
-  separate report reads the raw tensors once per recorded iterate, by the
-  same expansion, for the trace's objective and relative error; evaluations
-  that a restart rejects never touch them.  The stopping rule fires when that
+  restart, the expansion is used as is, and the explicit residual wherever
+  the compressed residual is below ``1e-3 ||M~||^2``.  A separate report reads
+  the raw tensors once per recorded iterate, by the same expansion, for the
+  trace's objective and relative error; evaluations that a restart rejects
+  never touch them.  The stopping rule fires when that
   relative error or the compressed models' (``sqrt(res~) / ||M~||``
   averaged over blocks) stalls.
 
@@ -482,10 +480,9 @@ class _Group:
     or restored iterate, ``data_sq``, the fitted data's ``||M||^2``,
     ``lip``, the step bounds of the last update by ``"core"`` or mode, zero
     before the first, which so takes no extrapolation, and ``perron``, by
-    the same keys, the ``(S, R)`` starts of those bounds, ones at
-    construction, which each bound carries forward to the next
-    (:func:`spectral_norm`); any positive start gives a valid bound, so a
-    restart leaves them be.  In lra mode
+    the same keys, the ``(S, R)`` starts of those bounds, ones at first, which
+    each bound carries forward to the next (:func:`spectral_norm`); any positive
+    start gives a valid bound, so a restart leaves them be.  In lra mode
     ``cross`` holds the cross-grams ``U~_n^T U_n``, ``(N, S, R~, R)``, one
     product per mode update, and ``tilde_abs`` the norms
     ``||[[|mu|; |U~|]]||`` that scale the expansion's rounding-error bound.
@@ -682,8 +679,7 @@ class _Apg:
         explicitly, as it always is at the default bound.  In lra mode the
         expansion plus its rounding-error bound is returned if it lies
         strictly below ``bound``; otherwise the explicit residual against
-        the reconstructed compression takes over wherever the compressed
-        residual is small.
+        the reconstructed compression takes over where it is small.
         """
         res, model_sq, err = np.empty((3, self.S))
         staged = []
